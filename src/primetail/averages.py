@@ -1,24 +1,25 @@
 """Averages of the singular series over k-subsets of [1, h].
 
 T_k(h) sums S(H) over ordered distinct k-tuples, i.e. k! times the sum
-over sorted subsets. Exact enumeration is budgeted; the pair case has an
-O(h) fast path via translation invariance; everything larger goes through
+over sorted subsets. Exact enumeration is budgeted and visits each
+translation class once, pairs included; everything larger goes through
 seeded Monte Carlo whose per-worker streams make results reproducible for
-a fixed (seed, samples, workers) triple.
+a fixed (seed, samples, workers) triple. Both evaluate S in batches.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import ResourceError
-from .singular import Tuple, primes_upto, singular_series
+from .singular import primes_upto, singular_series_block
 
 DEFAULT_BUDGET = 10 ** 7
 PER_TUPLE_ERROR = 1e-10
+_BLOCK = 1 << 14
 _REJECT_BATCH = 4096
 _SHUFFLE_BATCH = 2048
 
@@ -38,63 +39,42 @@ class EstimateWithError:
     workers: int = 1
 
 
-# One singular-series evaluation per translation class, shared by every
-# caller in the process. Keys are offset tuples anchored at 0.
-_ss_cache = {}
-
-
-def _ss_normed(offs):
-    key = tuple(t - offs[0] for t in offs)
-    got = _ss_cache.get(key)
-    if got is None:
-        sv = singular_series(Tuple(key), target_error=None)
-        got = (sv.value, sv.error_radius)
-        _ss_cache[key] = got
-    return got
-
-
 def tkh_exact(k, h, target_error=PER_TUPLE_ERROR, budget=DEFAULT_BUDGET):
-    """T_k(h) by exhaustive enumeration of the C(h,k) sorted subsets.
+    """T_k(h) = k! sum over 0 < d_2 < ... < d_k < h of (h - d_k) S({0, d_2, ..., d_k}).
 
-    The reported error is k! times the larger of the summed radii and
-    subsets * target_error. Raises ResourceError if k! C(h,k) exceeds
-    the budget.
+    The C(h-1,k-1) anchored rows are streamed in blocks of at most 2^14.
+    The reported error is k! times the larger of the weighted radii and
+    C(h,k) * target_error. Raises ResourceError if the anchored rows
+    exceed the budget.
     """
     if k < 1 or h < 1:
         raise ValueError("need k >= 1 and h >= 1")
     if k > h:
         return ValueWithError(0.0, 0.0)
-    n_subsets = math.comb(h, k)
-    kf = math.factorial(k)
-    if n_subsets * kf > budget:
+    n_rows = math.comb(h - 1, k - 1)
+    if n_rows > budget:
         raise ResourceError(
-            f"k! C(h,k) = {n_subsets * kf} exceeds budget {budget}; "
+            f"C(h-1,k-1) = {n_rows} anchored rows exceed budget {budget}; "
             f"use tkh_monte_carlo"
         )
     if k == 1:
         return ValueWithError(float(h), 0.0)
-    total = 0.0
-    radii = 0.0
-    for comb in combinations(range(1, h + 1), k):
-        v, r = _ss_normed(comb)
-        total += v
-        radii += r
-    err = kf * max(radii, n_subsets * target_error)
-    return ValueWithError(kf * total, err)
+    flat = chain.from_iterable(combinations(range(1, h), k - 1))
+    total = radii = 0.0
+    while len(ds := np.fromiter(islice(flat, _BLOCK * (k - 1)), np.int64).reshape(-1, k - 1)):
+        vals, rads = singular_series_block(np.hstack([np.zeros((len(ds), 1), np.int64), ds]))
+        weights = h - ds[:, -1]
+        total += float(weights @ vals)
+        radii += float(weights @ rads)
+    kf = math.factorial(k)
+    return ValueWithError(kf * total, kf * max(radii, math.comb(h, k) * target_error))
 
 
 def tkh_pair_fast(h, target_error=PER_TUPLE_ERROR):
-    """T_2(h) = 2 sum_{0<d<h} (h-d) S({0,d}), by translation invariance."""
+    """T_2(h) = 2 sum_{0<d<h} (h-d) S({0,d}), which is tkh_exact(2, h)."""
     if h < 2:
         raise ValueError("need h >= 2")
-    total = 0.0
-    err = 0.0
-    for d in range(1, h):
-        v, r = _ss_normed((0, d))
-        w = 2.0 * (h - d)
-        total += w * v
-        err += w * max(r, target_error)
-    return ValueWithError(total, err)
+    return tkh_exact(2, h, target_error)
 
 
 def _sample_values(rng, k, h, n):
@@ -117,10 +97,9 @@ def _sample_values(rng, k, h, n):
             draw = rng.integers(1, h + 1, size=(_REJECT_BATCH, k))
             rows = np.sort(draw, axis=1)
             rows = rows[(np.diff(rows, axis=1) > 0).all(axis=1)]
-        for row in rows[: n - filled].tolist():
-            m0 = row[0]
-            out[filled] = _ss_normed(tuple(t - m0 for t in row))[0]
-            filled += 1
+        rows = rows[: n - filled]
+        out[filled : filled + len(rows)] = singular_series_block(rows - rows[:, :1])[0]
+        filled += len(rows)
     return out
 
 

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .averages import DEFAULT_BUDGET, tkh_exact, tkh_monte_carlo, tkh_pair_fast
+from .averages import DEFAULT_BUDGET, tkh_exact, tkh_monte_carlo
 from .errors import ResourceError
 from .hl import hl_error, hl_sweep
 from .moments import moment_report, tail_report
@@ -97,8 +97,6 @@ def _cmd_singular(args):
 
 def _cmd_tkh(args):
     k, h = args.k, args.h
-    if k < 1 or h < 1:
-        raise ValueError("need k >= 1 and h >= 1")
     mode = args.mode
     if mode is None:
         fits = k <= h and math.comb(h, k) * math.factorial(k) <= DEFAULT_BUDGET
@@ -114,7 +112,7 @@ def _cmd_tkh(args):
         "seed": args.seed if mode == "mc" else None,
     }
     if mode == "exact":
-        got = tkh_pair_fast(h) if k == 2 else tkh_exact(k, h)
+        got = tkh_exact(k, h)
         rec = {
             "k": k,
             "h": h,
@@ -316,12 +314,26 @@ def _cmd_sieve_cache(args):
 # -- parser ----------------------------------------------------------------
 
 
+def _finite(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return v
+
+
+def _positive_int(text):
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return v
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
     common.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=1,
         help="deterministic shard count; results depend on it, timing may not",
     )
@@ -334,7 +346,7 @@ def _build_parser():
 
     p = sub.add_parser("singular", parents=[common], help="singular series of a tuple")
     p.add_argument("--tuple", required=True, help='offsets, e.g. "0,2,6"')
-    p.add_argument("--error", type=float, default=1e-9)
+    p.add_argument("--error", type=_finite, default=1e-9)
     p.add_argument("--jensen", action="store_true", help="include the split bound")
     p.set_defaults(func=_cmd_singular)
 
@@ -348,16 +360,16 @@ def _build_parser():
 
     p = sub.add_parser("moments", parents=[common], help="window count moments vs Poisson")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--h", type=_finite, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite, default=None)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--cache", default=None, help="primality table file")
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("tail", parents=[common], help="window count tails vs Poisson")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--h", type=_finite, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite, default=None)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--cache", default=None)
     p.set_defaults(func=_cmd_tail)
@@ -373,7 +385,7 @@ def _build_parser():
     p.add_argument("--tuple", required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--z", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_finite, default=None)
     p.add_argument("--gamma-table", default=None, help="comma list of z for R(z) rows")
     p.add_argument("--cache", default=None)
     p.set_defaults(func=_cmd_selberg)

@@ -88,12 +88,16 @@ class PrimalityTable:
     @classmethod
     def load(cls, path):
         with open(path, "rb") as f:
-            magic = f.read(4)
-            if magic != _MAGIC:
-                raise ValueError(f"not a primality table file (magic {magic!r})")
-            base, limit = struct.unpack("<QQ", f.read(16))
-            words = np.frombuffer(f.read(), dtype="<u8").copy()
-        return cls(base, limit, words)
+            data = f.read()
+        if data[:4] != _MAGIC:
+            raise ValueError(f"not a primality table file (magic {data[:4]!r})")
+        want = 20
+        if len(data) >= want:
+            base, limit = struct.unpack_from("<QQ", data, 4)
+            want += 8 * ((max(limit - base + 1, 0) + 63) // 64)
+        if len(data) != want:
+            raise ValueError(f"table file {path} is {len(data)} bytes, expected {want}")
+        return cls(base, limit, np.frombuffer(data, dtype="<u8", offset=20).copy())
 
     # -- queries ----------------------------------------------------------
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InadmissibleModulusError
 from .primes import count_tuple_hits, sieve_range
-from .singular import as_tuple, primes_upto, singular_series, Tuple, _factor_primes
+from .singular import as_tuple, primes_upto, singular_series, Tuple, _factor_primes, _nu_rows
 
 log = logging.getLogger(__name__)
 
@@ -26,11 +26,8 @@ _LOG_DH_CAP = 700.0
 def _nu_table(H, z):
     """(primes p < z, nu_H(p)) as parallel arrays."""
     ps = primes_upto(z - 1)
-    offs = H.offsets
-    nus = np.empty(len(ps), dtype=np.int64)
-    for i, p in enumerate(ps.tolist()):
-        nus[i] = len({t % p for t in offs})
-    return ps, nus
+    offs = np.array([t - H.offsets[0] for t in H], dtype=np.int64)
+    return ps, _nu_rows(offs[:, None], ps, axis=0)
 
 
 def g_value(d, H):

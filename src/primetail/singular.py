@@ -76,7 +76,7 @@ class Tuple:
     def diff_prime_set(self):
         """Primes dividing some pairwise difference of the offsets."""
         out = set()
-        for d in self.pairwise_diffs():
+        for d in set(self.pairwise_diffs()):
             out |= _factor_primes(d)
         return out
 
@@ -286,11 +286,7 @@ def tail_log_bound(k, P):
 def is_admissible(H):
     """True when the offsets miss a residue class modulo every prime <= k."""
     H = as_tuple(H)
-    for p in primes_upto(H.k):
-        p = int(p)
-        if len({t % p for t in H.offsets}) == p:
-            return False
-    return True
+    return all(residue_classes(H, p) < p for p in primes_upto(H.k).tolist())
 
 
 # -- the series itself ---------------------------------------------------
@@ -309,33 +305,8 @@ def singular_series(H, target_error=1e-9):
     k = H.k
     if k <= 1:
         return SingularSeriesValue(1.0, 0.0, 2)
-    dps = H.diff_prime_set()
-    plimit = max(2 * k * k, max(dps, default=0))
-    offs = H.offsets
-    value = 1.0
-    ops = 4
-    for p in primes_upto(k):
-        p = int(p)
-        nu = len({t % p for t in offs})
-        if nu == p:
-            return SingularSeriesValue(0.0, 0.0, plimit)
-        value *= (p - nu) * p ** (k - 1) / (p - 1) ** k
-        ops += 2
-    corr = 0.0
-    corr_abs = 0.0
-    n_corr = 0
-    for p in sorted(dps):
-        if p <= k:
-            continue
-        nu = len({t % p for t in offs})
-        t = math.log((p - nu) / (p - k))
-        corr += t
-        corr_abs += abs(t)
-        n_corr += 1
-    kd = _kdata(k)
-    value *= math.exp(corr + kd["log_cinf"])
-    log_err = kd["err_log"] + 4.0 * (n_corr + 2) * _EPS * corr_abs
-    radius = abs(value) * (math.expm1(log_err) + ops * _EPS)
+    value, radius = (float(a[0]) for a in singular_series_block([[t - H.offsets[0] for t in H]]))
+    plimit = max(2 * k * k, max(H.diff_prime_set(), default=0))
     if target_error is not None and radius > target_error:
         need = int(4 * k * k * max(value, 1.0) / target_error) + 1
         raise ResourceError(
@@ -343,6 +314,53 @@ def singular_series(H, target_error=1e-9):
             f"literal truncation would need primes up to about {need}"
         )
     return SingularSeriesValue(value, radius, plimit)
+
+
+def _nu_rows(rows, p, axis=-1):
+    """nu_H(p) of every offset row along axis; p may broadcast against rows."""
+    res = np.sort(rows % p, axis=axis)
+    return (res.shape[axis] > 0) + np.count_nonzero(np.diff(res, axis=axis), axis=axis)
+
+
+def singular_series_block(rows):
+    """S(H) and its error radius for each strictly increasing row of an (n, k) block.
+
+    The factors at p <= k come first and leave inadmissible rows at 0.0 with
+    radius 0; only the other rows have their differences factored, and get
+    nu_H(p) at the primes p > k found there. Rows do not affect each other,
+    and log/exp go through math so that no value depends on NumPy's SIMD build.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n, k = rows.shape
+    values, radii = np.ones(n), np.zeros(n)
+    if k <= 1:
+        return values, radii
+    small = primes_upto(k)
+    for p, nu in zip(small.tolist(), _nu_rows(rows[:, :, None], small, axis=1).T):
+        values *= np.array([(p - v) * p ** (k - 1) / (p - 1) ** k for v in range(p + 1)])[nu]
+    live = np.flatnonzero(values)
+    if len(live) == 0:
+        return values, radii
+    H = rows[live]
+    i, j = np.triu_indices(k, 1)
+    uniq, inv = np.unique(H[:, j] - H[:, i], return_inverse=True)
+    fps = [[p for p in _factor_primes(d) if p > k] for d in uniq.tolist()]
+    width = max(map(len, fps)) + 1
+    table = np.array([f + [0] * (width - len(f)) for f in fps], dtype=np.int64)
+    # per row, the distinct primes p > k dividing a difference, ascending; 0 pads
+    ps = np.sort(table[inv.reshape(len(H), -1)].reshape(len(H), -1), axis=1)
+    ps[:, 1:][ps[:, 1:] == ps[:, :-1]] = 0
+    hit = ps > 0
+    nu = _nu_rows(H[:, :, None], np.where(hit, ps, 1)[:, None, :], axis=1)
+    t = np.zeros(ps.shape)
+    t[hit] = [math.log((p - v) / (p - k)) for p, v in zip(ps[hit].tolist(), nu[hit].tolist())]
+    corr = np.cumsum(t, axis=1)[:, -1]  # every t >= 0, so this is also the sum of |t|
+    kd = _kdata(k)
+    values[live] *= [math.exp(c + kd["log_cinf"]) for c in corr.tolist()]
+    log_err = kd["err_log"] + 4.0 * (hit.sum(axis=1) + 2) * _EPS * corr
+    em1 = np.array([math.expm1(e) for e in log_err.tolist()])
+    radii[live] = np.abs(values[live]) * (em1 + (4 + 2 * len(small)) * _EPS)
+    return values, radii
 
 
 def partial_product(H, P):
@@ -355,20 +373,10 @@ def partial_product(H, P):
     if k <= 1:
         return 1.0
     _ctx.ensure(max(P, 4 * k * k))
-    kd = _kdata(k)
-    value = 1.0
-    for p in primes_upto(min(k, P)):
-        p = int(p)
-        nu = len({t % p for t in H.offsets})
-        if nu == p:
-            return 0.0
-        value *= (p - nu) * p ** (k - 1) / (p - 1) ** k
-    corr = 0.0
-    for p in sorted(H.diff_prime_set()):
-        if k < p <= P:
-            nu = len({t % p for t in H.offsets})
-            corr += math.log((p - nu) / (p - k))
-    return value * math.exp(_generic_log_partial(kd, P) + corr)
+    value = math.prod(local_factor(p, residue_classes(H, p), k) for p in primes_upto(min(k, P)).tolist())
+    dps = sorted(p for p in H.diff_prime_set() if k < p <= P)
+    corr = sum(math.log((p - residue_classes(H, p)) / (p - k)) for p in dps)
+    return value * math.exp(_generic_log_partial(_kdata(k), P) + corr)
 
 
 def jensen_split_bound(H):

@@ -1,6 +1,7 @@
 """T_k(h) paths: exact enumeration, pair fast path, Monte Carlo, size bound."""
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -57,9 +58,51 @@ def test_t2_normalized_climbs_toward_one():
     assert vals[0] < vals[1] < vals[2] < 1.0
 
 
+def _pair_oracle(h):
+    """2 sum_{0<d<h} (h-d) S({0,d}), S({0,d}) = C_2 prod_{odd p | d} (p-1)/(p-2), 0 for odd d."""
+    total = 0.0
+    for d in range(2, h, 2):
+        s, m, p = TWIN_CONSTANT, d, 3
+        while m % 2 == 0:
+            m //= 2
+        while p * p <= m:
+            if m % p == 0:
+                s *= (p - 1) / (p - 2)
+                while m % p == 0:
+                    m //= p
+            p += 2
+        if m > 1:
+            s *= (m - 1) / (m - 2)
+        total += (h - d) * s
+    return 2.0 * total
+
+
+def test_t2_matches_closed_form_pair_sum():
+    for h in (2, 3, 4, 17, 200, 1001, 5000):
+        got = tkh_exact(2, h)
+        oracle = _pair_oracle(h)
+        assert abs(got.value - oracle) <= 1e-12 * oracle + got.error, h
+
+
+def test_exact_matches_sum_over_all_subsets():
+    # one singular_series call per sorted subset of [1, h]: no anchoring, no weights
+    for k, h in ((3, 25), (4, 16), (5, 14)):
+        subsets = list(combinations(range(1, h + 1), k))
+        sv = [singular_series(Tuple(c), None) for c in subsets]
+        kf = math.factorial(k)
+        got = tkh_exact(k, h)
+        assert got.value == pytest.approx(kf * sum(s.value for s in sv), rel=1e-13)
+        assert got.error == kf * max(sum(s.error_radius for s in sv), len(subsets) * 1e-10)
+
+
 def test_budget_raises_with_hint():
     with pytest.raises(ResourceError, match="monte_carlo"):
         tkh_exact(10, 100)
+    # the budget counts the C(h-1,k-1) anchored rows evaluated
+    assert tkh_exact(3, 10, budget=math.comb(9, 2)).value > 0
+    with pytest.raises(ResourceError, match="monte_carlo"):
+        tkh_exact(3, 10, budget=math.comb(9, 2) - 1)
+    assert tkh_exact(2, 10 ** 4).value > 0  # 9999 rows, while 2 C(h,2) > 10^7
 
 
 def test_validation():
@@ -84,6 +127,16 @@ def test_mc_worker_count_changes_stream():
     a = tkh_monte_carlo(3, 50, 500, seed=11, workers=1)
     b = tkh_monte_carlo(3, 50, 500, seed=11, workers=2)
     assert a.mean != b.mean
+
+
+@pytest.mark.parametrize("seed, workers, mean, stderr", [
+    (12345, 1, 0.0, 0.0),
+    (945503140, 2, 0.11029662916077942, 0.11029662916077947),
+])
+def test_mc_stream_pinned(seed, workers, mean, stderr):
+    # bit-for-bit pins: the estimate is a function of (samples, seed, workers) alone
+    est = tkh_monte_carlo(10, 100, 10 ** 5, seed, workers)
+    assert (est.mean, est.stderr) == (mean, stderr)
 
 
 def test_mc_k1_degenerate():

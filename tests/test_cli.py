@@ -184,6 +184,51 @@ def test_sieve_cache_workflow(tmp_path, capsys):
     assert code == 2
 
 
+def test_truncated_table_exits_2(tmp_path, capsys):
+    path = tmp_path / "t.pkt"
+    code, _, _ = run_cli(capsys, "sieve-cache", "--limit", "10000", "--out", str(path))
+    assert code == 0
+    data = path.read_bytes()
+    for cut in (len(data) - 3, len(data) - 8, 12):
+        path.write_bytes(data[:cut])
+        code, _, err = run_cli(capsys, "hl", "--tuple", "0,2", "--x", "1000", "--cache", str(path))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        want = len(data) if cut > 20 else 20
+        assert f"{cut} bytes, expected {want}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("singular", "--tuple", "0,2", "--error", "nan"),
+    ("singular", "--tuple", "0,2", "--error", "inf"),
+    ("moments", "--x", "100", "--h", "nan", "--r-max", "1"),
+    ("tail", "--x", "100", "--lambda", "inf", "--k-max", "1"),
+    ("moments", "--x", "100", "--lambda", "-inf", "--r-max", "1"),
+    ("selberg", "--tuple", "0,2", "--x", "1000", "--epsilon", "nan"),
+])
+def test_non_finite_floats_rejected(argv):
+    with pytest.raises(SystemExit) as ei:
+        main(list(argv))
+    assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("singular", "--tuple", "0,2"),
+    ("tkh", "--k", "3", "--h", "20", "--mode", "exact"),
+    ("tkh", "--k", "3", "--h", "20", "--mode", "mc"),
+    ("moments", "--x", "100", "--h", "5", "--r-max", "1"),
+    ("tail", "--x", "100", "--h", "5", "--k-max", "1"),
+    ("hl", "--tuple", "0,2", "--x", "100"),
+    ("selberg", "--tuple", "0,2", "--x", "1000", "--z", "10"),
+    ("sieve-cache", "--limit", "100", "--out", "unused.pkt"),
+])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_rejected(argv, threads):
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, "--threads", threads])
+    assert ei.value.code == 2
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run_cli(capsys, "singular", "--tuple", "0,2", "--error", "1e-30")
     assert code == 3

@@ -5,9 +5,11 @@ Frozen constants come from direct partial products over all primes to 1e8
 separately and pinned here with tolerances covering that run's own error.
 """
 
+import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from primetail import (
     tail_log_bound,
 )
 from primetail.errors import ResourceError
-from primetail.singular import primes_upto
+from primetail.singular import primes_upto, singular_series_block
 
 TWIN_CONSTANT = 1.320323631693739  # doubled product of 1 - 1/(p-1)^2 over odd p
 TRIPLE_026 = 2.858248595490  # direct product to 1e8, radius 7e-9
@@ -189,7 +191,9 @@ def test_pair_closed_form():
     # S({0,d}) for even d is the twin constant times prod (p-1)/(p-2)
     # over odd primes dividing d; odd d is inadmissible
     twin = singular_series(Tuple.parse("0,2"), None).value
-    for d in (4, 6, 10, 12, 30, 90, 210, 2310, 9240):
+    # the last two differences pass the smallest-prime-factor table and
+    # are factored by trial division
+    for d in (4, 6, 10, 12, 30, 90, 210, 2310, 9240, 9699690, 2 * 10007 * 10009):
         expect = twin
         for p in sorted(_odd_prime_factors(d)):
             expect *= (p - 1) / (p - 2)
@@ -280,3 +284,85 @@ def test_jensen_prime_gap_ratio():
 def test_jensen_needs_pairs():
     with pytest.raises(ValueError):
         jensen_split_bound(Tuple((3,)))
+
+
+# -- batched kernel ------------------------------------------------------
+
+_ORACLE_P = 500  # explicit Euler factors up to here; every span below is < it
+_ORACLE_PRIMES = [p for p in range(2, _ORACLE_P + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+@functools.lru_cache(maxsize=None)
+def _euler_tail_log(k):
+    """log prod_{p > _ORACLE_P} (1 - k/p) / (1 - 1/p)^k at 30 digits.
+
+    Expands each log in powers of 1/p and sums over primes through the
+    prime zeta function minus its explicit head.
+    """
+    with mpmath.workdps(30):
+        head = [mpmath.mpf(p) for p in _ORACLE_PRIMES]
+        acc = mpmath.mpf(0)
+        for m in range(2, 40):
+            s_m = mpmath.primezeta(m) - mpmath.fsum(p ** -m for p in head)
+            acc -= mpmath.mpf(k ** m - k) / m * s_m
+        return acc
+
+
+def _euler_oracle(offs):
+    """S(H) as a 30-digit Euler product: every factor to 500, then the tail."""
+    k = len(offs)
+    with mpmath.workdps(30):
+        log_s = _euler_tail_log(k)
+        for p in _ORACLE_PRIMES:
+            nu = len({t % p for t in offs})
+            if nu == p:
+                return 0.0
+            log_s += mpmath.log(1 - mpmath.mpf(nu) / p) - k * mpmath.log(1 - mpmath.mpf(1) / p)
+        return float(mpmath.exp(log_s))
+
+
+def _admissible_row(rng, k, span):
+    """k offsets in [0, span] avoiding one random class mod every p <= k."""
+    pool = np.arange(span + 1)
+    for p in (q for q in _ORACLE_PRIMES if q <= k):
+        pool = pool[pool % p != rng.integers(p)]
+    if len(pool) < k:
+        return None
+    return sorted(rng.choice(pool, size=k, replace=False).tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 4, 10)), st.integers(0, 2 ** 32 - 1))
+def test_block_kernel_matches_euler_oracle(k, seed):
+    rng = np.random.default_rng(seed)
+    rows = [list(range(k))]  # k consecutive integers cover both classes mod 2
+    while len(rows) < 24:
+        span = int(rng.integers(k - 1, 101))
+        row = sorted(rng.choice(span + 1, size=k, replace=False).tolist())
+        rows.append(_admissible_row(rng, k, span) if len(rows) % 2 else row)
+        if rows[-1] is None:
+            rows.pop()
+    block = np.array([[t - r[0] for t in r] for r in rows], dtype=np.int64)
+    values, radii = singular_series_block(block)
+    n_adm = 0
+    for row, v, r in zip(block.tolist(), values.tolist(), radii.tolist()):
+        # a row's result must not depend on the rows batched with it
+        alone = singular_series_block(np.array([row]))
+        assert (v, r) == (alone[0][0], alone[1][0]), row
+        if any(len({t % p for t in row}) == p for p in _ORACLE_PRIMES if p <= k):
+            assert (v, r) == (0.0, 0.0), row
+            continue
+        n_adm += 1
+        oracle = _euler_oracle(row)
+        assert abs(v - oracle) <= r + 1e-12 * oracle, (row, v, oracle, r)
+    assert 0 < n_adm < len(rows)
+
+
+def test_block_kernel_degenerate_shapes():
+    assert [a.tolist() for a in singular_series_block(np.zeros((3, 1), np.int64))] == [[1.0] * 3, [0.0] * 3]
+    values, radii = singular_series_block(np.zeros((0, 4), np.int64))
+    assert values.shape == radii.shape == (0,)
+    # no prime above k = 2 divides the difference of {0, 2}: no corrections at all
+    values, radii = singular_series_block(np.array([[0, 2], [0, 1]]))
+    assert values[0] == pytest.approx(TWIN_CONSTANT, abs=1e-12) and 0 < radii[0] <= 1e-12
+    assert (values[1], radii[1]) == (0.0, 0.0)
