@@ -4,7 +4,8 @@ Every run writes one JSON header line echoing the resolved configuration,
 then one record per line: JSON objects, or tab-separated rows behind
 '#'-prefixed header lines with --format tsv. Floats are printed to 12
 significant digits through one code path, so identical invocations give
-byte-identical output. Exit codes: 0 ok, 2 bad usage, 3 resource budget.
+byte-identical output. Exit codes: 0 ok, 2 bad usage, 3 resource budget
+or out of memory.
 """
 
 import argparse
@@ -402,8 +403,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResourceError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ResourceError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,18 +2,35 @@
 
 Compares pi_H(x) against S(H) li_k(x) and the von Mangoldt weighted sum
 against S(H) x, reporting the raw error and two square-root-scale
-normalizations. The sweep variant shares one sieve, one singular series
-and an incrementally extended quadrature across all checkpoints.
+normalizations. Every report comes from one chunked pass over the
+primality table, one singular series and one quadrature routine.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import quad
 
-from .primes import _simple_sieve, count_tuple_hits, sieve_range
-from .singular import Tuple, as_tuple, singular_series
+from .primes import _CHUNK, sieve_range
+from .singular import Tuple, as_tuple, primes_upto, singular_series
+
+
+def _log_integral(a, b, k):
+    """integral_a^b dt / (log t)^k for 2 <= a <= b and k >= 1.
+
+    Integrated as e^u / u^k in u = log t, one quad piece per doubling of t,
+    so the mass near t = 2 that dominates at large k is never undersampled.
+    """
+    total = 0.0
+    while a < b:
+        c = min(2.0 * a, b)
+        piece, _ = quad(lambda u: math.exp(u - k * math.log(u)), math.log(a), math.log(c),
+                        epsabs=0.0, epsrel=1e-12)
+        total += piece
+        a = c
+    return total
 
 
 def li_k(x, k):
@@ -24,20 +41,17 @@ def li_k(x, k):
         return 0.0
     if k == 0:
         return float(x) - 2.0
-    val, _ = quad(lambda t: math.log(t) ** (-k), 2.0, float(x), epsrel=1e-10, limit=500)
-    return val
+    return _log_integral(2.0, float(x), k)
 
 
 def vonmangoldt(table, lo, hi):
     """Lambda(n) for n in [lo, hi]: log p at prime powers p^j, else 0."""
     if lo < 0 or hi < lo:
         raise ValueError(f"invalid range [{lo}, {hi}]")
-    flags = table.bools(lo, hi)
-    n = np.arange(lo, hi + 1, dtype=np.float64)
-    lam = np.where(flags, np.log(np.maximum(n, 2.0)), 0.0)
-    root_flags = _simple_sieve(max(math.isqrt(hi), 2))
-    for p in np.flatnonzero(root_flags):
-        p = int(p)
+    lam = np.zeros(hi - lo + 1)
+    at = np.flatnonzero(table.bools(lo, hi))
+    lam[at] = np.log((at + lo).astype(np.float64))
+    for p in primes_upto(math.isqrt(hi)).tolist():
         lp = math.log(p)
         q = p * p
         while q <= hi:
@@ -59,14 +73,38 @@ class HLReport:
     lambda_form_error: float
 
 
-def _lambda_products(table, H, x):
-    """prod_i Lambda(n + h_i) for n = 1..x, as one float64 array."""
-    offs = H.offsets
-    lam = vonmangoldt(table, 1 + offs[0], x + offs[-1])
-    prod = lam[: x].copy()
-    for t in offs[1:]:
-        prod *= lam[t - offs[0] : t - offs[0] + x]
-    return prod
+def _counts(H, xs, table):
+    """Hits and prod_i Lambda(n + h_i) summed over 1 <= n <= x, at each x in xs.
+
+    Streams n = 1..xs[-1] in _CHUNK blocks, sieving first if table is None.
+    The running Lambda sum is added to each block's first term before its
+    cumsum, so every sum is the plain left-to-right one however blocks fall.
+    """
+    offs, top = H.offsets, xs[-1]
+    if table is None:
+        table = sieve_range(0, top + offs[-1] + 1)
+    table.require_cover(1 + offs[0], top + offs[-1])
+    xs = np.asarray(xs, dtype=np.int64)
+    hits, sums = [], []
+    hit_total, lam_total = 0, 0.0
+    for a in range(1, top + 1, _CHUNK):
+        n = min(_CHUNK, top - a + 1)
+        lo, hi = a + offs[0], a + n - 1 + offs[-1]
+        flags, lam = table.bools(lo, hi), vonmangoldt(table, lo, hi)
+        acc, prod = flags[:n].copy(), lam[:n].copy()
+        for d in (t - offs[0] for t in offs[1:]):
+            acc &= flags[d : d + n]
+            prod *= lam[d : d + n]
+        prod[0] += lam_total
+        np.cumsum(prod, out=prod)
+        acc = np.cumsum(acc, dtype=np.int64)
+        at = xs[(xs >= a) & (xs < a + n)] - a
+        hits += (hit_total + acc[at]).tolist()
+        sums += prod[at].tolist()
+        hit_total, lam_total = hit_total + int(acc[-1]), float(prod[-1])
+        # free this block before the next is built, so memory stays one block
+        del flags, lam, acc, prod
+    return hits, sums
 
 
 def hl_error_lambda(H, x, table=None):
@@ -79,42 +117,18 @@ def hl_error_lambda(H, x, table=None):
         raise ValueError("need x >= 2")
     if H.k == 0:
         return 0.0
-    if table is None:
-        table = sieve_range(0, x + H.offsets[-1] + 1)
-    s = float(_lambda_products(table, H, x).sum())
+    _, (s,) = _counts(H, [int(x)], table)
     sv = singular_series(H, target_error=None)
     return abs(s - sv.value * x)
 
 
 def hl_error(H, x, table=None):
     """Hit count vs S(H) li_k(x) at a single checkpoint."""
-    H = as_tuple(H)
-    if H.k == 0:
-        raise ValueError("need a non-empty tuple")
-    if x < 3:
-        raise ValueError("need x >= 3")
-    if table is None:
-        table = sieve_range(0, x + H.offsets[-1] + 1)
-    hits = count_tuple_hits(table, H, x)
-    li = li_k(x, H.k)
-    sv = singular_series(H, target_error=max(1e-9 * li, 1e-12))
-    prediction = sv.value * li
-    abs_error = abs(hits - prediction)
-    lgx = math.log(x)
-    return HLReport(
-        H,
-        int(x),
-        hits,
-        prediction,
-        abs_error,
-        abs_error / (math.sqrt(x) * lgx ** 6),
-        abs_error / (math.sqrt(x) * lgx ** H.k),
-        hl_error_lambda(H, x, table),
-    )
+    return hl_sweep(H, [x], table)[0]
 
 
 def hl_sweep(H, xs, table=None):
-    """hl_error at each ascending checkpoint, sharing one pass of real work."""
+    """Hit count vs S(H) li_k(x) at each ascending checkpoint, from one pass."""
     H = as_tuple(H)
     if H.k == 0:
         raise ValueError("need a non-empty tuple")
@@ -123,26 +137,11 @@ def hl_sweep(H, xs, table=None):
         return []
     if xs[0] < 3 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("checkpoints must be ascending and >= 3")
-    top = xs[-1]
-    if table is None:
-        table = sieve_range(0, top + H.offsets[-1] + 1)
     k = H.k
-    offs = H.offsets
-    acc = table.bools(1 + offs[0], top + offs[0]).copy()
-    for t in offs[1:]:
-        acc &= table.bools(1 + t, top + t)
-    positions = np.flatnonzero(acc) + 1
-    lcum = np.cumsum(_lambda_products(table, H, top))
-    sv = singular_series(H, target_error=max(1e-9 * li_k(top, k), 1e-12))
+    lis = list(accumulate(_log_integral(a, b, k) for a, b in zip([2.0] + xs, xs)))
+    sv = singular_series(H, target_error=max(1e-9 * lis[-1], 1e-12))
     reports = []
-    li = li_k(xs[0], k)
-    prev = xs[0]
-    for x in xs:
-        if x > prev:
-            seg, _ = quad(lambda t: math.log(t) ** (-k), prev, x, epsrel=1e-10, limit=500)
-            li += seg
-            prev = x
-        hits = int(np.searchsorted(positions, x, side="right"))
+    for x, li, hits, s in zip(xs, lis, *_counts(H, xs, table)):
         prediction = sv.value * li
         abs_error = abs(hits - prediction)
         lgx = math.log(x)
@@ -155,7 +154,7 @@ def hl_sweep(H, xs, table=None):
                 abs_error,
                 abs_error / (math.sqrt(x) * lgx ** 6),
                 abs_error / (math.sqrt(x) * lgx ** k),
-                abs(float(lcum[x - 1]) - sv.value * x),
+                abs(s - sv.value * x),
             )
         )
     return reports

@@ -22,6 +22,7 @@ import mpmath
 import numpy as np
 
 from .errors import ResourceError
+from .primes import _simple_sieve
 
 _EPS = 2.0 ** -52
 _SPF_MAX = 1 << 22  # beyond this, pairwise differences get trial division
@@ -108,12 +109,7 @@ class _PrimeCtx:
         if n <= self.cap:
             return
         n = max(n, 2 * self.cap, 1 << 17)
-        flags = np.ones(n + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, math.isqrt(n) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        self.primes = np.flatnonzero(flags).astype(np.int64)
+        self.primes = np.flatnonzero(_simple_sieve(n)).astype(np.int64)
         self.cap = n
         self.per_k.clear()  # prefix sums index into the prime list; realign
 

@@ -1,3 +1,4 @@
+import mpmath
 import pytest
 
 from primetail import sieve_range
@@ -11,3 +12,23 @@ def table_1e6():
 @pytest.fixture(scope="session")
 def table_1e7():
     return sieve_range(0, 10 ** 7 + 64)
+
+
+@pytest.fixture(scope="session")
+def li_oracle():
+    """li_k at ascending xs: mpmath quadrature in t on doubling breakpoints."""
+
+    def li(xs, k):
+        out, total, a = [], mpmath.mpf(0), mpmath.mpf(2)
+        with mpmath.workdps(25):
+            for x in xs:
+                pts = [a]
+                while 2 * pts[-1] < x:
+                    pts.append(2 * pts[-1])
+                pts.append(mpmath.mpf(x))
+                total += mpmath.quad(lambda t: mpmath.log(t) ** -k, pts)
+                out.append(float(total))
+                a = pts[-1]
+        return out
+
+    return li

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from primetail import Tuple, singular_series
 from primetail.cli import main
 
 
@@ -137,6 +138,16 @@ def test_hl_single(capsys):
     assert "lambda_form_error" in rec
 
 
+@pytest.mark.parametrize("tup", ["0,2,6,8,12,18,20", "0,2,6,8,12,18,20,26,30,32"])
+def test_hl_large_k_prediction(capsys, li_oracle, tup):
+    code, out, err = run_cli(capsys, "hl", "--tuple", tup, "--x", "1000000")
+    assert code == 0, err
+    rec = json.loads(lines_of(out)[1])
+    H = Tuple.parse(tup)
+    want = singular_series(H, target_error=None).value * li_oracle([10 ** 6], H.k)[0]
+    assert rec["prediction"] == pytest.approx(want, rel=1e-7)
+
+
 def test_hl_sweep_tsv_columns(capsys):
     code, out, _ = run_cli(capsys, "hl", "--tuple", "0,2", "--x", "100",
                            "--sweep", "100:200:50", "--format", "tsv")
@@ -233,6 +244,18 @@ def test_resource_exit_code(capsys):
     code, _, err = run_cli(capsys, "singular", "--tuple", "0,2", "--error", "1e-30")
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 2.5 GiB for an array", ""])
+def test_memory_error_exits_3(capsys, monkeypatch, message):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("primetail.cli.sieve_range", out_of_memory)
+    code, out, err = run_cli(capsys, "moments", "--x", "100", "--h", "5", "--r-max", "1")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
 
 
 def test_bad_tuple_exit_code(capsys):

@@ -1,11 +1,24 @@
 """li_k quadrature, von Mangoldt arrays, and the prediction error reports."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from primetail import Tuple, hl_error, hl_error_lambda, hl_sweep, li_k, sieve_range, vonmangoldt
+from primetail import (
+    Tuple,
+    count_tuple_hits,
+    hl_error,
+    hl_error_lambda,
+    hl_sweep,
+    li_k,
+    sieve_range,
+    singular_series,
+    vonmangoldt,
+)
+from primetail.primes import _CHUNK
 
 
 def _simpson_li(x, k, n=100000):
@@ -37,6 +50,20 @@ def test_li_k_vs_simpson():
     assert li_k(5500, 10) == pytest.approx(_simpson_li(5500, 10), rel=1e-8)
 
 
+def test_li_k_vs_mpmath_oracle(li_oracle):
+    # the mass near t = 2 dominates at large k; IntegrationWarning fails the test
+    xs = [10 ** e for e in (4, 6, 8, 10, 12)]
+    bad = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1, 13):
+            for x, want in zip(xs, li_oracle(xs, k)):
+                got = li_k(x, k)
+                if abs(got - want) > 1e-9 * want:
+                    bad.append((x, k, got, want))
+    assert not bad
+
+
 def test_li_k_edges():
     assert li_k(1.5, 3) == 0.0
     assert li_k(2, 1) == 0.0
@@ -51,10 +78,11 @@ def test_li_frozen_value():
 
 
 def test_vonmangoldt_small(table_1e6):
-    lam = vonmangoldt(table_1e6, 1, 16)
-    expect = _lambda_dict(16)
-    for n in range(1, 17):
-        assert lam[n - 1] == pytest.approx(expect.get(n, 0.0), rel=1e-14), n
+    expect = _lambda_dict(1100)
+    for lo, hi in ((1, 16), (1000, 1100)):
+        lam = vonmangoldt(table_1e6, lo, hi)
+        for n in range(lo, hi + 1):
+            assert lam[n - lo] == pytest.approx(expect.get(n, 0.0), rel=1e-14), n
 
 
 def test_vonmangoldt_psi_chebyshev(table_1e6):
@@ -117,9 +145,39 @@ def test_hl_sweep_matches_single(table_1e6):
         single = hl_error(H, rep.x, table_1e6)
         assert rep.hits == single.hits
         assert rep.prediction == pytest.approx(single.prediction, rel=1e-9)
-        assert rep.lambda_form_error == pytest.approx(
-            single.lambda_form_error, rel=1e-9, abs=1e-9
-        )
+        assert rep.lambda_form_error == single.lambda_form_error
+
+
+def test_hl_error_is_sweep_of_one(table_1e6):
+    for text, x in (("0", 10 ** 5), ("0,2", 1000), ("0,1", 500), ("0,2,6,8,12,18,20", 10 ** 6)):
+        H = Tuple.parse(text)
+        assert hl_error(H, x, table_1e6) == hl_sweep(H, [x], table_1e6)[0]
+
+
+def test_hl_pass_across_blocks(table_1e7):
+    # a checkpoint past the first block: hits against the tuple counter, and
+    # the Lambda sum against one left-to-right cumsum over the whole range
+    H = Tuple.parse("0,2")
+    x = _CHUNK + 12345
+    rep = hl_error(H, x, table_1e7)
+    assert rep.hits == count_tuple_hits(table_1e7, H, x)
+    lam = vonmangoldt(table_1e7, 1, x + 2)
+    s = float(np.cumsum(lam[:x] * lam[2:])[-1])
+    assert rep.lambda_form_error == abs(s - singular_series(H, target_error=None).value * x)
+
+
+def test_hl_memory_bounded_by_chunk(table_1e7):
+    H = Tuple.parse("0,2")
+    hl_error(H, 1000, table_1e7)  # warm the prime caches outside the measurement
+    peaks = []
+    for x in (_CHUNK, 2 * _CHUNK):
+        tracemalloc.start()
+        try:
+            hl_error(H, x, table_1e7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_hl_sweep_validation(table_1e6):
