@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .averages import DEFAULT_BUDGET, tkh_exact, tkh_monte_carlo
 from .errors import ResourceError
@@ -53,6 +54,19 @@ def _emit(fmt, config, columns, rows):
             out.write("\t".join(_cell(r.get(c)) for c in columns) + "\n")
 
 
+_RENAMED = {"H": "tuple", "lam": "lambda", "lam_eff": "lambda_eff"}
+
+
+def _row(rep, drop=()):
+    """One record from a report dataclass, its fields in declaration order."""
+    rec = {}
+    for f in fields(rep):
+        if f.name not in drop:
+            v = getattr(rep, f.name)
+            rec[_RENAMED.get(f.name, f.name)] = str(v) if f.name == "H" else v
+    return rec
+
+
 def _load_table(args, hi):
     if getattr(args, "cache", None):
         table = PrimalityTable.load(args.cache)
@@ -88,7 +102,6 @@ def _cmd_singular(args):
     config = {
         "subcommand": "singular",
         "format": args.format,
-        "threads": args.threads,
         "tuple": str(H),
         "error": args.error,
     }
@@ -144,88 +157,24 @@ def _cmd_tkh(args):
     return 0
 
 
-def _cmd_moments(args):
+def _cmd_window(args):
+    """moments or tail: one report per index first..last of the window histogram."""
     h = _resolve_h(args)
-    if args.r_max < 1:
-        raise ValueError("need --r-max >= 1")
+    first, last = args.first, getattr(args, args.last)
+    if last < first:
+        raise ValueError(f"need --{args.last.replace('_', '-')} >= {first}")
     table = _load_table(args, args.x + math.ceil(h))
     hist = window_counts(table, args.x, h)
     config = {
-        "subcommand": "moments",
+        "subcommand": args.subcommand,
         "format": args.format,
-        "threads": args.threads,
         "x": args.x,
         "h": h,
-        "r_max": args.r_max,
+        args.last: last,
     }
-    rows = []
-    for r in range(1, args.r_max + 1):
-        m = moment_report(hist, r)
-        rows.append(
-            {
-                "x": m.x,
-                "h": m.h,
-                "lambda": m.lam,
-                "lambda_eff": m.lam_eff,
-                "r": m.r,
-                "empirical": m.empirical,
-                "predicted": m.predicted,
-                "ratio": m.ratio,
-                "predicted_eff": m.predicted_eff,
-                "ratio_eff": m.ratio_eff,
-            }
-        )
+    rows = [_row(args.report(hist, i)) for i in range(first, last + 1)]
     _emit(args.format, config, list(rows[0]), rows)
     return 0
-
-
-def _cmd_tail(args):
-    h = _resolve_h(args)
-    if args.k_max < 0:
-        raise ValueError("need --k-max >= 0")
-    table = _load_table(args, args.x + math.ceil(h))
-    hist = window_counts(table, args.x, h)
-    config = {
-        "subcommand": "tail",
-        "format": args.format,
-        "threads": args.threads,
-        "x": args.x,
-        "h": h,
-        "k_max": args.k_max,
-    }
-    rows = []
-    for k in range(args.k_max + 1):
-        t = tail_report(hist, k)
-        rows.append(
-            {
-                "x": t.x,
-                "h": t.h,
-                "lambda": t.lam,
-                "lambda_eff": t.lam_eff,
-                "k": t.k,
-                "I_count": t.I_count,
-                "pi_k_count": t.pi_k_count,
-                "poisson_tail": t.poisson_tail,
-                "corollary_bound": t.corollary_bound,
-                "poisson_tail_eff": t.poisson_tail_eff,
-                "corollary_bound_eff": t.corollary_bound_eff,
-            }
-        )
-    _emit(args.format, config, list(rows[0]), rows)
-    return 0
-
-
-def _hl_record(rep):
-    return {
-        "tuple": str(rep.H),
-        "x": rep.x,
-        "hits": rep.hits,
-        "prediction": rep.prediction,
-        "abs_error": rep.abs_error,
-        "normalized": rep.normalized,
-        "normalized_alt": rep.normalized_alt,
-        "lambda_form_error": rep.lambda_form_error,
-    }
 
 
 def _cmd_hl(args):
@@ -233,7 +182,6 @@ def _cmd_hl(args):
     config = {
         "subcommand": "hl",
         "format": args.format,
-        "threads": args.threads,
         "tuple": str(H),
         "x": args.x,
         "sweep": args.sweep,
@@ -250,7 +198,7 @@ def _cmd_hl(args):
         reports = hl_sweep(H, xs, table)
     else:
         reports = [hl_error(H, args.x, table)]
-    rows = [_hl_record(r) for r in reports]
+    rows = [_row(r) for r in reports]
     columns = ["x", "hits", "prediction", "abs_error", "normalized", "normalized_alt"]
     _emit(args.format, config, columns, rows)
     return 0
@@ -265,26 +213,12 @@ def _cmd_selberg(args):
     config = {
         "subcommand": "selberg",
         "format": args.format,
-        "threads": args.threads,
         "tuple": str(H),
         "x": args.x,
         "z": rep.z,
         "epsilon": args.epsilon,
     }
-    rec = {
-        "tuple": str(H),
-        "x": rep.x,
-        "z": rep.z,
-        "G_z": rep.G_z,
-        "W_z": rep.W_z,
-        "raw_bound": rep.raw_bound,
-        "theorem_bound": rep.theorem_bound,
-        "actual": rep.actual,
-        "ratio_actual_over_bound": rep.ratio_actual_over_bound,
-        "alpha1": rep.alpha1,
-        "L_estimate": rep.L_estimate,
-        "correction_term": rep.correction_term,
-    }
+    rec = _row(rep, drop=("epsilon",))
     rows = [rec]
     columns = list(rec)
     if args.gamma_table:
@@ -303,7 +237,6 @@ def _cmd_sieve_cache(args):
     config = {
         "subcommand": "sieve-cache",
         "format": args.format,
-        "threads": args.threads,
         "limit": args.limit,
         "out": args.out,
     }
@@ -332,12 +265,6 @@ def _positive_int(text):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="deterministic shard count; results depend on it, timing may not",
-    )
 
     parser = argparse.ArgumentParser(
         prog="primetail",
@@ -357,23 +284,25 @@ def _build_parser():
     p.add_argument("--mode", choices=("exact", "mc"), default=None)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="Monte Carlo shard count; results depend on it, timing may not",
+    )
     p.set_defaults(func=_cmd_tkh)
 
-    p = sub.add_parser("moments", parents=[common], help="window count moments vs Poisson")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--h", type=_finite, default=None)
-    p.add_argument("--lambda", dest="lam", type=_finite, default=None)
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--cache", default=None, help="primality table file")
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("tail", parents=[common], help="window count tails vs Poisson")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--h", type=_finite, default=None)
-    p.add_argument("--lambda", dest="lam", type=_finite, default=None)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--cache", default=None)
-    p.set_defaults(func=_cmd_tail)
+    for name, what, last, first, report in (
+        ("moments", "moments", "r_max", 1, moment_report),
+        ("tail", "tails", "k_max", 0, tail_report),
+    ):
+        p = sub.add_parser(name, parents=[common], help=f"window count {what} vs Poisson")
+        p.add_argument("--x", type=int, required=True)
+        p.add_argument("--h", type=_finite, default=None)
+        p.add_argument("--lambda", dest="lam", type=_finite, default=None)
+        p.add_argument("--" + last.replace("_", "-"), type=int, required=True)
+        p.add_argument("--cache", default=None, help="primality table file")
+        p.set_defaults(func=_cmd_window, report=report, first=first, last=last)
 
     p = sub.add_parser("hl", parents=[common], help="hit counts vs the li_k prediction")
     p.add_argument("--tuple", required=True)

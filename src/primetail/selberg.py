@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InadmissibleModulusError
 from .primes import count_tuple_hits, sieve_range
-from .singular import as_tuple, primes_upto, singular_series, Tuple, _factor_primes, _nu_rows
+from .singular import as_tuple, primes_upto, singular_series, Tuple, _anchored, _nu_rows, _prime_factors
 
 log = logging.getLogger(__name__)
 
@@ -26,8 +26,7 @@ _LOG_DH_CAP = 700.0
 def _nu_table(H, z):
     """(primes p < z, nu_H(p)) as parallel arrays."""
     ps = primes_upto(z - 1)
-    offs = np.array([t - H.offsets[0] for t in H], dtype=np.int64)
-    return ps, _nu_rows(offs[:, None], ps, axis=0)
+    return ps, _nu_rows(_anchored(H)[:, None], ps, axis=0)
 
 
 def g_value(d, H):
@@ -42,11 +41,12 @@ def g_value(d, H):
         return 1.0
     out = 1.0
     m = d
-    for p in sorted(_factor_primes(d)):
+    offs = _anchored(H)
+    for p in _prime_factors([d])[0]:
         m //= p
         if m % p == 0:
             raise ValueError(f"{d} is not squarefree")
-        nu = len({t % p for t in H.offsets})
+        nu = int(_nu_rows(offs, p))
         if nu == p:
             raise InadmissibleModulusError(f"nu({p}) = {p}: weight undefined")
         out *= nu / (p - nu)

@@ -25,7 +25,6 @@ from .errors import ResourceError
 from .primes import _simple_sieve
 
 _EPS = 2.0 ** -52
-_SPF_MAX = 1 << 22  # beyond this, pairwise differences get trial division
 
 
 @dataclass(frozen=True)
@@ -76,16 +75,18 @@ class Tuple:
 
     def diff_prime_set(self):
         """Primes dividing some pairwise difference of the offsets."""
-        out = set()
-        for d in set(self.pairwise_diffs()):
-            out |= _factor_primes(d)
-        return out
+        return set().union(*_prime_factors(self.pairwise_diffs()))
 
 
 def as_tuple(H):
     if isinstance(H, Tuple):
         return H
     return Tuple(tuple(sorted(int(t) for t in H)))
+
+
+def _anchored(H):
+    """The offsets of H shifted to start at 0, as an int64 array."""
+    return np.array([t - H.offsets[0] for t in H], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,6 @@ class _PrimeCtx:
     def __init__(self):
         self.cap = 0
         self.primes = np.zeros(0, dtype=np.int64)
-        self.spf = None
-        self.spf_cap = 0
         self.per_k = {}
 
     def ensure(self, n):
@@ -112,18 +111,6 @@ class _PrimeCtx:
         self.primes = np.flatnonzero(_simple_sieve(n)).astype(np.int64)
         self.cap = n
         self.per_k.clear()  # prefix sums index into the prime list; realign
-
-    def ensure_spf(self, n):
-        if self.spf is not None and n < self.spf_cap:
-            return
-        n = min(max(2 * n, 1 << 17), _SPF_MAX)
-        spf = np.arange(n, dtype=np.int32)
-        for p in range(2, math.isqrt(n - 1) + 1):
-            if spf[p] == p:
-                sl = spf[p * p :: p]
-                np.minimum(sl, np.int32(p), out=sl)
-        self.spf = spf
-        self.spf_cap = n
 
 
 _ctx = _PrimeCtx()
@@ -135,42 +122,33 @@ def primes_upto(n):
     return _ctx.primes[: bisect_right(_ctx.primes, n)]
 
 
-def _factor_primes(d):
-    """Set of distinct prime factors of d >= 1."""
-    if d < 1:
+def _prime_factors(ds):
+    """The distinct prime factors of each d >= 1 in ds, ascending, as lists.
+
+    Divides the whole array by one prime at a time up to isqrt(max d);
+    whatever is left above 1 afterwards is a prime above all of those.
+    """
+    rest = np.array(ds, dtype=np.int64).reshape(-1)
+    if len(rest) and rest.min() < 1:
         raise ValueError("need d >= 1")
-    if d == 1:
-        return set()
-    out = set()
-    if d < _SPF_MAX:
-        _ctx.ensure_spf(d + 1)
-        spf = _ctx.spf
-        while d > 1:
-            p = int(spf[d])
-            out.add(p)
-            while d % p == 0:
-                d //= p
-        return out
-    for p in primes_upto(math.isqrt(d)):
-        p = int(p)
-        if p * p > d:
-            break
-        if d % p == 0:
-            out.add(p)
-            while d % p == 0:
-                d //= p
-    if d > 1:
-        out.add(d)
+    out = [[] for _ in range(len(rest))]
+    top = int(rest.max(initial=1))
+    for p in primes_upto(math.isqrt(top)).tolist():
+        idx = np.flatnonzero(rest % p == 0)
+        if len(idx):
+            for i in idx.tolist():
+                out[i].append(p)
+            pe = p  # the largest power of p <= top holds the whole p-part of every d
+            while pe * p <= top:
+                pe *= p
+            rest[idx] //= np.gcd(rest[idx], pe)
+    for i in np.flatnonzero(rest > 1).tolist():
+        out[i].append(int(rest[i]))
     return out
 
 
 def _is_prime_int(p):
-    if p < 2:
-        return False
-    for q in primes_upto(math.isqrt(p)):
-        if p % int(q) == 0:
-            return False
-    return True
+    return p >= 2 and _prime_factors([p])[0] == [p]
 
 
 # -- generic tail per exponent k ---------------------------------------
@@ -242,8 +220,7 @@ def residue_classes(H, p):
     """nu_H(p): number of distinct residues of the offsets modulo p."""
     if not _is_prime_int(p):
         raise ValueError(f"{p} is not prime")
-    H = as_tuple(H)
-    return len({t % p for t in H.offsets})
+    return int(_nu_rows(_anchored(as_tuple(H)), p))
 
 
 def local_factor(p, nu, k):
@@ -282,7 +259,8 @@ def tail_log_bound(k, P):
 def is_admissible(H):
     """True when the offsets miss a residue class modulo every prime <= k."""
     H = as_tuple(H)
-    return all(residue_classes(H, p) < p for p in primes_upto(H.k).tolist())
+    small = primes_upto(H.k)
+    return bool(np.all(_nu_rows(_anchored(H)[:, None], small, axis=0) < small))
 
 
 # -- the series itself ---------------------------------------------------
@@ -301,7 +279,7 @@ def singular_series(H, target_error=1e-9):
     k = H.k
     if k <= 1:
         return SingularSeriesValue(1.0, 0.0, 2)
-    value, radius = (float(a[0]) for a in singular_series_block([[t - H.offsets[0] for t in H]]))
+    value, radius = (float(a[0]) for a in singular_series_block(_anchored(H)[None]))
     plimit = max(2 * k * k, max(H.diff_prime_set(), default=0))
     if target_error is not None and radius > target_error:
         need = int(4 * k * k * max(value, 1.0) / target_error) + 1
@@ -340,7 +318,7 @@ def singular_series_block(rows):
     H = rows[live]
     i, j = np.triu_indices(k, 1)
     uniq, inv = np.unique(H[:, j] - H[:, i], return_inverse=True)
-    fps = [[p for p in _factor_primes(d) if p > k] for d in uniq.tolist()]
+    fps = [[p for p in f if p > k] for f in _prime_factors(uniq)]
     width = max(map(len, fps)) + 1
     table = np.array([f + [0] * (width - len(f)) for f in fps], dtype=np.int64)
     # per row, the distinct primes p > k dividing a difference, ascending; 0 pads
@@ -392,11 +370,8 @@ def jensen_split_bound(H):
     ps = primes_upto(kc).astype(np.float64)
     head = float(np.exp(-k * np.log1p(-1.0 / ps).sum()))
     tail = math.exp(kd["log_cinf"] - _generic_log_partial(kd, kc))
-    offs = H.offsets
     cc = k * (k - 1) // 2
     acc = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            s = sum(1.0 / p for p in _factor_primes(offs[j] - offs[i]) if p > kc)
-            acc += math.exp(2.0 * cc * s)
+    for f in _prime_factors(H.pairwise_diffs()):
+        acc += math.exp(2.0 * cc * sum(1.0 / p for p in f if p > kc))
     return head * tail * acc / cc

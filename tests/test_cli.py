@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import primetail
 from primetail import Tuple, singular_series
 from primetail.cli import main
 
@@ -125,6 +128,9 @@ def test_tail_rows(capsys):
     rows = [json.loads(l) for l in lines_of(out)[1:]]
     assert [r["k"] for r in rows] == [0, 1, 2, 3]
     assert rows[0]["I_count"] == 1000
+    assert list(rows[0]) == ["x", "h", "lambda", "lambda_eff", "k", "I_count", "pi_k_count",
+                             "poisson_tail", "corollary_bound", "poisson_tail_eff",
+                             "corollary_bound_eff"]
     assert rows[0]["corollary_bound"] is None
     assert rows[1]["corollary_bound"] > 0
     assert all(r["poisson_tail_eff"] <= 1.0 for r in rows)
@@ -135,7 +141,9 @@ def test_hl_single(capsys):
     rec = json.loads(lines_of(out)[1])
     assert rec["hits"] == 35
     assert rec["prediction"] > 0
-    assert "lambda_form_error" in rec
+    assert list(rec) == ["tuple", "x", "hits", "prediction", "abs_error", "normalized",
+                         "normalized_alt", "lambda_form_error"]
+    assert rec["tuple"] == "0,2"
 
 
 @pytest.mark.parametrize("tup", ["0,2,6,8,12,18,20", "0,2,6,8,12,18,20,26,30,32"])
@@ -163,6 +171,9 @@ def test_selberg_record(capsys):
     assert rec["actual"] <= rec["theorem_bound"]
     assert rec["G_z"] > 0 and 0 < rec["W_z"] < 1
     assert rec["alpha1"] == 3
+    # epsilon is echoed by the header, not repeated in the record
+    assert list(rec) == ["tuple", "x", "z", "G_z", "W_z", "raw_bound", "theorem_bound", "actual",
+                         "ratio_actual_over_bound", "alpha1", "L_estimate", "correction_term"]
 
 
 def test_selberg_gamma_table(capsys):
@@ -223,7 +234,7 @@ def test_non_finite_floats_rejected(argv):
     assert ei.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
+SUBCOMMAND_ARGVS = [
     ("singular", "--tuple", "0,2"),
     ("tkh", "--k", "3", "--h", "20", "--mode", "exact"),
     ("tkh", "--k", "3", "--h", "20", "--mode", "mc"),
@@ -232,12 +243,35 @@ def test_non_finite_floats_rejected(argv):
     ("hl", "--tuple", "0,2", "--x", "100"),
     ("selberg", "--tuple", "0,2", "--x", "1000", "--z", "10"),
     ("sieve-cache", "--limit", "100", "--out", "unused.pkt"),
-])
+]
+NON_TKH_ARGVS = [a for a in SUBCOMMAND_ARGVS if a[0] != "tkh"]
+
+
+# only tkh has --threads; the other subcommands refuse it as an unknown option
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS)
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_rejected(argv, threads):
     with pytest.raises(SystemExit) as ei:
         main([*argv, "--threads", threads])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("argv", NON_TKH_ARGVS)
+def test_threads_only_on_tkh(argv):
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, "--threads", "1"])
+    assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS)
+def test_threads_in_tkh_header_only(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    header = json.loads(lines_of(out)[0])
+    assert ("threads" in header) == (argv[0] == "tkh")
+    if argv[0] == "tkh":
+        assert header["threads"] == 1
 
 
 def test_resource_exit_code(capsys):
@@ -270,10 +304,14 @@ def test_unknown_flag_exits_2():
 
 
 def test_module_entry_point():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(primetail.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run(
         [sys.executable, "-m", "primetail.cli", "singular", "--tuple", "0,2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert r.returncode == 0
     assert '"value":1.32032363169' in r.stdout

@@ -26,7 +26,7 @@ from primetail import (
     tail_log_bound,
 )
 from primetail.errors import ResourceError
-from primetail.singular import primes_upto, singular_series_block
+from primetail.singular import _prime_factors, primes_upto, singular_series_block
 
 TWIN_CONSTANT = 1.320323631693739  # doubled product of 1 - 1/(p-1)^2 over odd p
 TRIPLE_026 = 2.858248595490  # direct product to 1e8, radius 7e-9
@@ -84,6 +84,42 @@ def test_parse_roundtrip(offs):
 
 def test_translate():
     assert Tuple.parse("0,2").translate(5).offsets == (5, 7)
+
+
+# -- factoring ----------------------------------------------------------
+
+
+def _trial_division_primes(d):
+    """Distinct prime factors of d >= 1, ascending, by plain trial division."""
+    out = []
+    q = 2
+    while q * q <= d:
+        if d % q == 0:
+            out.append(q)
+            while d % q == 0:
+                d //= q
+        q += 1 if q == 2 else 2
+    if d > 1:
+        out.append(d)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10 ** 7), max_size=40))
+def test_prime_factors_match_trial_division(ds):
+    assert _prime_factors(np.array(ds, dtype=np.int64)) == [_trial_division_primes(d) for d in ds]
+
+
+def test_prime_factors_fixed_cases():
+    ds = [1, 2, 2 ** 22 - 1, 2 ** 22, 2 ** 22 + 1, 9699690, 2 * 10007 * 10009, 2 ** 40 - 87]
+    got = _prime_factors(ds)
+    assert got == [_trial_division_primes(d) for d in ds]
+    assert got[0] == [] and got[5] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert got[-1] == [2 ** 40 - 87]  # the largest prime below 2^40
+    assert _prime_factors([]) == []
+    for bad in ([0], [5, -3]):
+        with pytest.raises(ValueError):
+            _prime_factors(bad)
 
 
 # -- local factors ------------------------------------------------------
@@ -191,8 +227,7 @@ def test_pair_closed_form():
     # S({0,d}) for even d is the twin constant times prod (p-1)/(p-2)
     # over odd primes dividing d; odd d is inadmissible
     twin = singular_series(Tuple.parse("0,2"), None).value
-    # the last two differences pass the smallest-prime-factor table and
-    # are factored by trial division
+    # the last two differences exceed 2^22, the last one with two prime factors above 10^4
     for d in (4, 6, 10, 12, 30, 90, 210, 2310, 9240, 9699690, 2 * 10007 * 10009):
         expect = twin
         for p in sorted(_odd_prime_factors(d)):
