@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.special import gammainc
+import mpmath
 
 
 @lru_cache(maxsize=None)
@@ -69,12 +69,32 @@ def poisson_pmf(lam, k):
 
 
 def poisson_tail(lam, k):
-    """P(X >= k) for X ~ Poisson(lam), via the regularized gamma integral."""
+    """P(X >= k) for X ~ Poisson(lam), summing the pmf on the side that decays.
+
+    For k > lam this sums the terms from k upward; otherwise it sums those
+    from k - 1 downward and returns 1 minus the sum. The first term is taken
+    at 30 digits, each next one by a float ratio <= 1 (lam/j up, j/lam down),
+    until a term falls below 2^-60 of the first.
+    """
     if lam <= 0 or k < 0:
         raise ValueError("need lam > 0 and k >= 0")
-    if k == 0:
-        return 1.0
-    return float(gammainc(k, lam))
+    up = k > lam
+    j0 = k if up else k - 1
+    if j0 < 0 or j0 * math.log(lam) - lam - math.lgamma(j0 + 1) < -750:
+        return 0.0 if up else 1.0
+    terms, t, j = [1.0], 1.0, j0
+    while t >= 2.0 ** -60 and (up or j > 0):
+        if up:
+            j += 1
+            t *= lam / j
+        else:
+            t *= j / lam
+            j -= 1
+        terms.append(t)
+    with mpmath.workdps(30):
+        first = mpmath.exp(j0 * mpmath.log(lam) - lam - mpmath.loggamma(j0 + 1))
+        s = float(first * math.fsum(terms))
+    return s if up else 1.0 - s
 
 
 def corollary_bound(lam, k):

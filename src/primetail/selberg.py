@@ -127,7 +127,10 @@ def theorem_bound(H, x, epsilon):
     sv = singular_series(H, target_error=None)
     if sv.value == 0.0:
         log.warning("theorem_bound: inadmissible tuple, bound is vacuous")
-    return (2.0 + epsilon) ** k * math.factorial(k) * sv.value * x / math.log(x) ** k
+    try:
+        return (2.0 + epsilon) ** k * math.factorial(k) * sv.value * x / math.log(x) ** k
+    except OverflowError:
+        return math.inf  # a factor left the float range; inf is still an upper bound
 
 
 def _log_abs_dh(H):

@@ -282,10 +282,10 @@ def singular_series(H, target_error=1e-9):
     value, radius = (float(a[0]) for a in singular_series_block(_anchored(H)[None]))
     plimit = max(2 * k * k, max(H.diff_prime_set(), default=0))
     if target_error is not None and radius > target_error:
-        need = int(4 * k * k * max(value, 1.0) / target_error) + 1
+        need = 4 * k * k * max(value, 1.0) / target_error
         raise ResourceError(
             f"error radius {radius:.3g} exceeds target {target_error:.3g}; a "
-            f"literal truncation would need primes up to about {need}"
+            f"literal truncation would need primes up to about {need:.3g}"
         )
     return SingularSeriesValue(value, radius, plimit)
 

@@ -280,6 +280,23 @@ def test_resource_exit_code(capsys):
     assert "error" in err
 
 
+def test_unreachable_error_target_hint_stays_one_line(capsys):
+    # 5e-324 makes the "primes up to" hint infinite, 1e-300 a 306-digit number
+    for target in ("5e-324", "1e-300"):
+        code, out, err = run_cli(capsys, "singular", "--tuple", "0,2,6,8,12,18,20,26,30,32",
+                                 "--error", target)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "primes up to" in err
+
+
+def test_selberg_theorem_bound_overflow_prints_null(capsys):
+    code, out, _ = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "1000", "--epsilon", "1e300")
+    assert code == 0
+    assert '"theorem_bound":null' in lines_of(out)[1]
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 2.5 GiB for an array", ""])
 def test_memory_error_exits_3(capsys, monkeypatch, message):
     def out_of_memory(*args, **kwargs):
@@ -303,15 +320,33 @@ def test_unknown_flag_exits_2():
     assert ei.value.code == 2
 
 
-def test_module_entry_point():
+def _child_env():
     # the child imports the same package as this test, installed or not
     src = str(Path(primetail.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point():
     r = subprocess.run(
         [sys.executable, "-m", "primetail.cli", "singular", "--tuple", "0,2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert r.returncode == 0
     assert '"value":1.32032363169' in r.stdout
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS)
+def test_cli_never_imports_scipy(argv, tmp_path):
+    # a fresh interpreter per subcommand, so no earlier import can hide one
+    script = (
+        "import json, sys\n"
+        "from primetail.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env=_child_env(), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(lines_of(r.stdout)[-1]) == [0, []]

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -50,16 +51,38 @@ def test_li_k_vs_simpson():
     assert li_k(5500, 10) == pytest.approx(_simpson_li(5500, 10), rel=1e-8)
 
 
+def _mpmath_li_u(xs, k):
+    """li_k at ascending xs: mpmath quadrature of e^u / u^k in u = log t."""
+    out, total, a = [], mpmath.mpf(0), mpmath.log(2)
+    with mpmath.workdps(25):
+        for x in xs:
+            b = mpmath.log(mpmath.mpf(x))
+            pts = [a]
+            while 1.25 * pts[-1] < b:
+                pts.append(1.25 * pts[-1])
+            pts.append(b)
+            total += mpmath.quad(lambda u: mpmath.exp(u - k * mpmath.log(u)), pts)
+            out.append(float(total))
+            a = b
+    return out
+
+
 def test_li_k_vs_mpmath_oracle(li_oracle):
-    # the mass near t = 2 dominates at large k; IntegrationWarning fails the test
-    xs = [10 ** e for e in (4, 6, 8, 10, 12)]
+    # up to k = 100 the pole at u = log t = 0 pulls the mass towards t = 2;
+    # there the t-oracle is checked against a second mpmath pass in u, and a
+    # NumPy overflow or invalid-value warning fails the test
+    xs = [10 ** e for e in (4, 6, 8, 10, 12, 15, 18)]
     bad = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for k in range(1, 13):
-            for x, want in zip(xs, li_oracle(xs, k)):
+        for k in [*range(1, 13), 16, 20, 30, 60, 100]:
+            wants = li_oracle(xs, k)
+            if k > 12:
+                for x, want, alt in zip(xs, wants, _mpmath_li_u(xs, k)):
+                    assert alt == pytest.approx(want, rel=1e-14), (x, k)
+            for x, want in zip(xs, wants):
                 got = li_k(x, k)
-                if abs(got - want) > 1e-9 * want:
+                if abs(got - want) > 1e-13 * want:
                     bad.append((x, k, got, want))
     assert not bad
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,24 @@ def test_poisson_pmf_basics():
     assert sum(poisson_pmf(2.5, j) for j in range(200)) == pytest.approx(1.0, rel=1e-12)
 
 
+def _mpmath_poisson_tail(lam, k):
+    """P(X >= k) as a 50-digit direct sum of the pmf upward from k.
+
+    Terms below lam - 60 sqrt(lam) are skipped: together they weigh less
+    than e^-1800, far below 50 digits of a sum near 1.
+    """
+    with mpmath.workdps(50):
+        lam_mp = mpmath.mpf(lam)
+        j = max(k, int(lam - 60 * math.sqrt(lam)))
+        term = mpmath.exp(j * mpmath.log(lam_mp) - lam_mp - mpmath.loggamma(j + 1))
+        total = mpmath.mpf(0)
+        while j <= lam or term > mpmath.mpf(10) ** -55 * total:
+            total += term
+            j += 1
+            term *= lam_mp / j
+        return float(total)
+
+
 def test_poisson_tail_against_direct_sum():
     for lam in (0.5, 1.0, 3.0):
         for k in range(0, 12):
@@ -144,6 +163,12 @@ def test_poisson_tail_against_direct_sum():
             assert poisson_tail(lam, k) == pytest.approx(direct, abs=1e-13), (lam, k)
     assert poisson_tail(1.0, 4) == pytest.approx(0.018988, abs=1e-6)
     assert poisson_tail(2.0, 0) == 1.0
+    # large lam, on both sides of the mean and in the far tail
+    for lam in (300, 10 ** 4, 10 ** 5):
+        for k in (lam // 2, lam, lam + lam // 100, 2 * lam):
+            want = _mpmath_poisson_tail(lam, k)
+            assert poisson_tail(float(lam), k) == pytest.approx(want, rel=1e-13, abs=0.0), (lam, k)
+    assert poisson_tail(1.0, 10 ** 5) == 0.0
 
 
 def test_corollary_bound_values():

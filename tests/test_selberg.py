@@ -154,6 +154,11 @@ def test_theorem_bound_monotone_in_epsilon():
     assert theorem_bound(TWIN, 10 ** 6, 0.1) < theorem_bound(TWIN, 10 ** 6, 0.5)
 
 
+def test_theorem_bound_overflow_is_inf():
+    # (2 + eps)^k leaves the float range; inf still bounds the count from above
+    assert theorem_bound(TWIN, 1000, 1e300) == math.inf
+
+
 def test_theorem_bound_inadmissible_vacuous(caplog):
     with caplog.at_level(logging.WARNING):
         assert theorem_bound(Tuple.parse("0,1"), 10 ** 4, 0.1) == 0.0
