@@ -16,7 +16,7 @@ from dataclasses import fields
 
 from .averages import DEFAULT_BUDGET, tkh_exact, tkh_monte_carlo
 from .errors import ResourceError
-from .hl import hl_error, hl_sweep
+from .hl import hl_sweep
 from .moments import moment_report, tail_report
 from .primes import PrimalityTable, sieve_range, window_counts
 from .selberg import gamma_cross_check, sieve_report
@@ -78,9 +78,10 @@ def _load_table(args, hi):
 def _resolve_h(args):
     if (args.h is None) == (args.lam is None):
         raise ValueError("give exactly one of --h and --lambda")
-    if args.h is not None:
-        return float(args.h)
-    return args.lam * math.log(args.x)
+    h = float(args.h) if args.h is not None else args.lam * math.log(args.x)
+    if h < 1:
+        raise ValueError(f"need h >= 1, got h = {h:.6g}: a narrower window holds no integer")
+    return h
 
 
 # -- subcommands ---------------------------------------------------------
@@ -186,19 +187,14 @@ def _cmd_hl(args):
         "x": args.x,
         "sweep": args.sweep,
     }
-    top = args.x
+    xs = [args.x]
     if args.sweep:
-        a, b, s = (int(v) for v in args.sweep.split(":"))
-        if s < 1 or b < a:
+        parts = [int(v) for v in args.sweep.split(":")]
+        if len(parts) != 3 or parts[2] < 1 or parts[1] < parts[0]:
             raise ValueError("--sweep wants A:B:S with A <= B and S >= 1")
-        top = max(top, b)
-        xs = list(range(a, b + 1, s))
-    table = _load_table(args, top + H.offsets[-1] + 1)
-    if args.sweep:
-        reports = hl_sweep(H, xs, table)
-    else:
-        reports = [hl_error(H, args.x, table)]
-    rows = [_row(r) for r in reports]
+        xs = list(range(parts[0], parts[1] + 1, parts[2]))
+    table = _load_table(args, max(args.x, xs[-1]) + H.offsets[-1] + 1)
+    rows = [_row(r) for r in hl_sweep(H, xs, table)]
     columns = ["x", "hits", "prediction", "abs_error", "normalized", "normalized_alt"]
     _emit(args.format, config, columns, rows)
     return 0

@@ -2,8 +2,8 @@
 
 Compares pi_H(x) against S(H) li_k(x) and the von Mangoldt weighted sum
 against S(H) x, reporting the raw error and two square-root-scale
-normalizations. Every report comes from one chunked pass over the
-primality table, one singular series and one quadrature routine.
+normalizations. Every report comes from one primes.tuple_counts pass over
+the table, one singular series and one quadrature routine.
 """
 
 import math
@@ -12,8 +12,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .primes import _CHUNK, sieve_range
-from .singular import Tuple, as_tuple, primes_upto, singular_series
+from .primes import tuple_counts, vonmangoldt  # noqa: F401 (vonmangoldt is re-exported)
+from .singular import Tuple, as_tuple, singular_series
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -47,23 +47,6 @@ def li_k(x, k):
     return _log_integral(2.0, float(x), k)
 
 
-def vonmangoldt(table, lo, hi):
-    """Lambda(n) for n in [lo, hi]: log p at prime powers p^j, else 0."""
-    if lo < 0 or hi < lo:
-        raise ValueError(f"invalid range [{lo}, {hi}]")
-    lam = np.zeros(hi - lo + 1)
-    at = np.flatnonzero(table.bools(lo, hi))
-    lam[at] = np.log((at + lo).astype(np.float64))
-    for p in primes_upto(math.isqrt(hi)).tolist():
-        lp = math.log(p)
-        q = p * p
-        while q <= hi:
-            if q >= lo:
-                lam[q - lo] = lp
-            q *= p
-    return lam
-
-
 @dataclass(frozen=True)
 class HLReport:
     H: Tuple
@@ -76,40 +59,6 @@ class HLReport:
     lambda_form_error: float
 
 
-def _counts(H, xs, table):
-    """Hits and prod_i Lambda(n + h_i) summed over 1 <= n <= x, at each x in xs.
-
-    Streams n = 1..xs[-1] in _CHUNK blocks, sieving first if table is None.
-    The running Lambda sum is added to each block's first term before its
-    cumsum, so every sum is the plain left-to-right one however blocks fall.
-    """
-    offs, top = H.offsets, xs[-1]
-    if table is None:
-        table = sieve_range(0, top + offs[-1] + 1)
-    table.require_cover(1 + offs[0], top + offs[-1])
-    xs = np.asarray(xs, dtype=np.int64)
-    hits, sums = [], []
-    hit_total, lam_total = 0, 0.0
-    for a in range(1, top + 1, _CHUNK):
-        n = min(_CHUNK, top - a + 1)
-        lo, hi = a + offs[0], a + n - 1 + offs[-1]
-        flags, lam = table.bools(lo, hi), vonmangoldt(table, lo, hi)
-        acc, prod = flags[:n].copy(), lam[:n].copy()
-        for d in (t - offs[0] for t in offs[1:]):
-            acc &= flags[d : d + n]
-            prod *= lam[d : d + n]
-        prod[0] += lam_total
-        np.cumsum(prod, out=prod)
-        acc = np.cumsum(acc, dtype=np.int64)
-        at = xs[(xs >= a) & (xs < a + n)] - a
-        hits += (hit_total + acc[at]).tolist()
-        sums += prod[at].tolist()
-        hit_total, lam_total = hit_total + int(acc[-1]), float(prod[-1])
-        # free this block before the next is built, so memory stays one block
-        del flags, lam, acc, prod
-    return hits, sums
-
-
 def hl_error_lambda(H, x, table=None):
     """|sum_{n<=x} prod_i Lambda(n + h_i) - S(H) x|.
 
@@ -120,7 +69,7 @@ def hl_error_lambda(H, x, table=None):
         raise ValueError("need x >= 2")
     if H.k == 0:
         return 0.0
-    _, (s,) = _counts(H, [int(x)], table)
+    _, s = next(tuple_counts(table, H.offsets, [int(x)]))
     sv = singular_series(H, target_error=None)
     return abs(s - sv.value * x)
 
@@ -144,7 +93,7 @@ def hl_sweep(H, xs, table=None):
     lis = list(accumulate(_log_integral(a, b, k) for a, b in zip([2.0] + xs, xs)))
     sv = singular_series(H, target_error=max(1e-9 * lis[-1], 1e-12))
     reports = []
-    for x, li, hits, s in zip(xs, lis, *_counts(H, xs, table)):
+    for x, li, (hits, s) in zip(xs, lis, tuple_counts(table, H.offsets, xs)):
         prediction = sv.value * li
         abs_error = abs(hits - prediction)
         lgx = math.log(x)

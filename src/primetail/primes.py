@@ -2,8 +2,8 @@
 
 The table stores one bit per integer, 64 per little-endian word, so the
 full range to 10^8 fits in ~12 MB and popcounts come straight off the
-words. Window and tuple counts stream the table in chunks; nothing here
-ever materialises more than a few million unpacked flags at once.
+words. Window counts and the one tuple pass (hits and Lambda sums) stream
+the table in chunks, never more than a few million unpacked flags at once.
 """
 
 import math
@@ -33,7 +33,7 @@ class PrimalityTable:
     """Primality of every integer in [base, limit].
 
     Bit j of word w flags base + 64*w + j; bits for n < 2 are always 0.
-    Words are litte-endian uint64 so the on-disk and in-memory layouts
+    Words are little-endian uint64 so the on-disk and in-memory layouts
     agree byte for byte.
     """
 
@@ -162,7 +162,7 @@ class WindowHistogram:
     counts: dict
 
 
-def window_counts(table, x, h, chunk=_CHUNK):
+def window_counts(table, x, h):
     """Histogram of c(n) = #{primes in (n, n+h]} over n = 1..x.
 
     Windows are half-open at the left, so for integer n they hold the
@@ -175,11 +175,9 @@ def window_counts(table, x, h, chunk=_CHUNK):
         raise ValueError("h must be positive and finite")
     table.require_cover(1, x + math.ceil(h))
     m = int(h)
-    if m == 0:
-        return WindowHistogram(x, h, {0: x})
     acc = np.zeros(m + 2, dtype=np.int64)
-    for a in range(1, x + 1, chunk):
-        b = min(a + chunk - 1, x)
+    for a in range(1, x + 1, _CHUNK):
+        b = min(a + _CHUNK - 1, x)
         flags = table.bools(a + 1, b + m)
         cs = np.zeros(len(flags) + 1, dtype=np.int64)
         np.cumsum(flags, out=cs[1:])
@@ -189,11 +187,76 @@ def window_counts(table, x, h, chunk=_CHUNK):
     return WindowHistogram(x, float(h), counts)
 
 
-def count_tuple_hits(table, offsets, x, chunk=_CHUNK):
+def _prime_powers(hi):
+    """log p for each prime power p^j <= hi with j >= 2, keyed by p^j."""
+    out = {}
+    for p in np.flatnonzero(_simple_sieve(math.isqrt(hi))).tolist():
+        q = p * p
+        while q <= hi:
+            out[q] = math.log(p)
+            q *= p
+    return out
+
+
+def vonmangoldt(table, lo, hi):
+    """Lambda(n) for n in [lo, hi]: log p at prime powers p^j, else 0."""
+    if lo < 0 or hi < lo:
+        raise ValueError(f"invalid range [{lo}, {hi}]")
+    lam = np.zeros(hi - lo + 1)
+    at = np.flatnonzero(table.bools(lo, hi))
+    lam[at] = np.log((at + lo).astype(np.float64))
+    for q, lp in _prime_powers(hi).items():
+        if q >= lo:
+            lam[q - lo] = lp
+    return lam
+
+
+def tuple_counts(table, offsets, xs):
+    """Yield hits and the sum of prod_i Lambda(n + h_i) over n <= x, per x in xs.
+
+    offsets ascend from >= 0, xs from >= 1; a None table is sieved first. Each
+    _CHUNK block ANDs prime-power flags once; Lambda is taken only at those
+    survivors (hits where every n + h_i is prime) and summed left to right, so
+    each sum is the dense sum's float, whose other terms are exactly 0.0.
+    """
+    offs, top = list(offsets), int(xs[-1])
+    if table is None:
+        table = sieve_range(0, top + offs[-1] + 1)
+    table.require_cover(1 + offs[0], top + offs[-1])
+    xs = np.asarray(xs, dtype=np.int64)
+    powers = _prime_powers(top + offs[-1])
+    hit_sums, lam_sums = np.zeros(1, dtype=np.int64), np.zeros(1)
+    for a in range(1, top + 1, _CHUNK):
+        n = min(_CHUNK, top - a + 1)
+        lo, hi = a + offs[0], a + n - 1 + offs[-1]
+        flags = table.bools(lo, hi)
+        either = flags.copy()
+        either[[q - lo for q in powers if lo <= q <= hi]] = True
+        acc = either[:n].copy()
+        for d in (t - offs[0] for t in offs[1:]):
+            acc &= either[d : d + n]
+        at = np.flatnonzero(acc)
+        hit, prod = np.ones(len(at), dtype=bool), np.ones(len(at))
+        for t in offs:
+            m = at + (a + t)
+            prime = flags[m - lo]
+            lam = np.log(m)
+            lam[~prime] = [powers[q] for q in m[~prime].tolist()]
+            hit &= prime
+            prod *= lam
+        ends = np.searchsorted(at, xs[(xs >= a) & (xs < a + n)] - a, side="right")
+        hit_sums = np.cumsum(np.concatenate((hit_sums[-1:], hit)))
+        lam_sums = np.cumsum(np.concatenate((lam_sums[-1:], prod)))
+        yield from zip(hit_sums[ends].tolist(), lam_sums[ends].tolist())
+        # free this block before the next is built, so memory stays one block
+        del flags, either, acc
+
+
+def count_tuple_hits(table, offsets, x):
     """#{1 <= n <= x : n + t is prime for every offset t}.
 
-    Offsets may come in any order and with repeats; the count only
-    depends on the underlying set. Empty offsets count everything.
+    Offsets may come in any order and with repeats; the count only depends on
+    the underlying set. Empty offsets count everything; None sieves a table.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -202,12 +265,4 @@ def count_tuple_hits(table, offsets, x, chunk=_CHUNK):
         return x
     if offs[0] < 0:
         raise ValueError("offsets must be non-negative")
-    table.require_cover(1 + offs[0], x + offs[-1])
-    total = 0
-    for a in range(1, x + 1, chunk):
-        b = min(a + chunk - 1, x)
-        acc = table.bools(a + offs[0], b + offs[0]).copy()
-        for t in offs[1:]:
-            acc &= table.bools(a + t, b + t)
-        total += int(np.count_nonzero(acc))
-    return total
+    return next(tuple_counts(table, offs, [x]))[0]

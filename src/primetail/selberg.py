@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleModulusError
-from .primes import count_tuple_hits, sieve_range
+from .primes import count_tuple_hits
 from .singular import as_tuple, primes_upto, singular_series, Tuple, _anchored, _nu_rows, _prime_factors
 
 log = logging.getLogger(__name__)
@@ -211,8 +211,6 @@ def sieve_report(H, x, z=None, epsilon=None, table=None):
     if z is None:
         z = max(2, round(x ** (1.0 / (2.0 + epsilon))))
     z = int(z)
-    if table is None:
-        table = sieve_range(0, x + (H.offsets[-1] if H.k else 0) + 1)
     k = H.k
     actual = count_tuple_hits(table, H, x)
     W = big_W(z, H)

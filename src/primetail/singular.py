@@ -133,6 +133,8 @@ def _prime_factors(ds):
         raise ValueError("need d >= 1")
     out = [[] for _ in range(len(rest))]
     top = int(rest.max(initial=1))
+    if math.isqrt(top) > 10 ** 7:
+        raise ResourceError(f"factoring {top} would sieve primes up to {math.isqrt(top)} (limit 10^7)")
     for p in primes_upto(math.isqrt(top)).tolist():
         idx = np.flatnonzero(rest % p == 0)
         if len(idx):

@@ -309,6 +309,37 @@ def test_memory_error_exits_3(capsys, monkeypatch, message):
     assert err == f"error: {message or 'out of memory'}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--x", "1000000", "--lambda", "0.05", "--r-max", "2"),
+        ("tail", "--x", "1000", "--h", "0.5", "--k-max", "3"),
+    ],
+)
+def test_window_below_one_exits_2_naming_h(capsys, argv):
+    # every window (n, n + h] with h < 1 is empty; that used to surface as "need lam > 0"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need h >= 1") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sweep", ["10:5", "10:5:1", "1:2:3:4", "10:20:0"])
+def test_hl_bad_sweep_exits_2(capsys, sweep):
+    code, out, err = run_cli(capsys, "hl", "--tuple", "0,2", "--x", "100", "--sweep", sweep)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --sweep wants A:B:S with A <= B and S >= 1\n"
+
+
+def test_singular_huge_difference_exits_3(capsys):
+    # factoring 2^63 - 1 would sieve to 3e9 before it finds a factor
+    code, out, err = run_cli(capsys, "singular", "--tuple", f"0,{2 ** 63 - 1}")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "limit 10^7" in err
+
+
 def test_bad_tuple_exit_code(capsys):
     code, _, err = run_cli(capsys, "singular", "--tuple", "0,2,2")
     assert code == 2

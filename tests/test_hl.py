@@ -10,7 +10,6 @@ import pytest
 
 from primetail import (
     Tuple,
-    count_tuple_hits,
     hl_error,
     hl_error_lambda,
     hl_sweep,
@@ -19,7 +18,8 @@ from primetail import (
     singular_series,
     vonmangoldt,
 )
-from primetail.primes import _CHUNK
+from primetail import primes
+from primetail.primes import _CHUNK, tuple_counts
 
 
 def _simpson_li(x, k, n=100000):
@@ -178,15 +178,48 @@ def test_hl_error_is_sweep_of_one(table_1e6):
 
 
 def test_hl_pass_across_blocks(table_1e7):
-    # a checkpoint past the first block: hits against the tuple counter, and
-    # the Lambda sum against one left-to-right cumsum over the whole range
+    # a checkpoint past the first block, against oracles that share no code
+    # with the pass: a dense AND of flag slices for the hits, and for the
+    # Lambda sum one left-to-right cumsum over a dense Lambda array built
+    # here, log n at primes and log p at trial-division prime powers
     H = Tuple.parse("0,2")
     x = _CHUNK + 12345
     rep = hl_error(H, x, table_1e7)
-    assert rep.hits == count_tuple_hits(table_1e7, H, x)
-    lam = vonmangoldt(table_1e7, 1, x + 2)
+    flags = table_1e7.bools(1, x + 2)
+    assert rep.hits == int(np.count_nonzero(flags[:x] & flags[2:]))
+    lam = np.zeros(x + 2)
+    at = np.flatnonzero(flags)
+    lam[at] = np.log((at + 1).astype(np.float64))
+    for p in range(2, math.isqrt(x + 2) + 1):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            q = p * p
+            while q <= x + 2:
+                lam[q - 1] = math.log(p)
+                q *= p
     s = float(np.cumsum(lam[:x] * lam[2:])[-1])
     assert rep.lambda_form_error == abs(s - singular_series(H, target_error=None).value * x)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_tuple_pass_block_edges(chunk, monkeypatch):
+    # checkpoints on both sides of every block edge, and where some n + h_i
+    # is a prime power p^j with j >= 2, a survivor that is no hit
+    monkeypatch.setattr(primes, "_CHUNK", chunk)
+    table = sieve_range(0, 300)
+    walked, bools = [], table.bools
+    monkeypatch.setattr(table, "bools", lambda lo, hi: walked.append(lo) or bools(lo, hi))
+    lam = _lambda_dict(300)
+    for offs in ((0, 1), (0, 2), (2, 3), (0, 2, 6)):
+        xs = {e + s for e in range(chunk, 200, chunk) for s in (-1, 0, 1)}
+        xs |= {v - t for v in (4, 8, 9, 25, 27, 32) for t in offs}
+        xs = sorted(x for x in xs if 1 <= x <= 200)
+        walked.clear()
+        for x, (got_hits, got_sum) in zip(xs, tuple_counts(table, offs, xs), strict=True):
+            ns = range(1, x + 1)
+            assert got_hits == sum(all(table.is_prime(n + t) for t in offs) for n in ns), (offs, x)
+            want = sum(math.prod(lam.get(n + t, 0.0) for t in offs) for n in ns)
+            assert got_sum == pytest.approx(want, rel=1e-12), (offs, x)
+        assert len(walked) == -(-xs[-1] // chunk)  # one unpack per block, in blocks of chunk
 
 
 def test_hl_memory_bounded_by_chunk(table_1e7):

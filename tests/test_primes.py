@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primetail import PrimalityTable, count_tuple_hits, sieve_range, window_counts
+from primetail import PrimalityTable, count_tuple_hits, primes, sieve_range, window_counts
 from primetail.errors import CoverageError
 
 
@@ -157,9 +157,10 @@ def test_window_counts_brute_force(table_1e6):
         assert hist.counts == brute
 
 
-def test_window_counts_chunk_invariance(table_1e6):
-    a = window_counts(table_1e6, 40000, 13.2, chunk=977)
+def test_window_counts_chunk_invariance(table_1e6, monkeypatch):
     b = window_counts(table_1e6, 40000, 13.2)
+    monkeypatch.setattr(primes, "_CHUNK", 977)
+    a = window_counts(table_1e6, 40000, 13.2)
     assert a == b
 
 
@@ -204,12 +205,13 @@ def test_count_tuple_hits_monotone_in_x(table_1e6):
     assert a <= b
 
 
-def test_count_tuple_hits_brute_force(table_1e6):
+def test_count_tuple_hits_brute_force(table_1e6, monkeypatch):
     offs = (0, 4, 6)
     x = 2000
     brute = sum(1 for n in range(1, x + 1) if all(table_1e6.is_prime(n + t) for t in offs))
     assert count_tuple_hits(table_1e6, offs, x) == brute
-    assert count_tuple_hits(table_1e6, offs, x, chunk=313) == brute
+    monkeypatch.setattr(primes, "_CHUNK", 313)
+    assert count_tuple_hits(table_1e6, offs, x) == brute
 
 
 def test_count_tuple_hits_coverage(table_1e6):

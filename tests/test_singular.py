@@ -120,6 +120,9 @@ def test_prime_factors_fixed_cases():
     for bad in ([0], [5, -3]):
         with pytest.raises(ValueError):
             _prime_factors(bad)
+    # a difference above 10^14 would need the primes past 10^7 first
+    with pytest.raises(ResourceError, match="10\\^7"):
+        _prime_factors([6, (10 ** 7 + 1) ** 2])
 
 
 # -- local factors ------------------------------------------------------
