@@ -8,7 +8,6 @@ from .singular import (
     is_admissible,
     jensen_split_bound,
     local_factor,
-    partial_product,
     residue_classes,
     singular_series,
     tail_log_bound,

@@ -15,13 +15,15 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import ResourceError
-from .singular import primes_upto, singular_series_block
+from .primes import primes_upto
+from .singular import singular_series_block
 
 DEFAULT_BUDGET = 10 ** 7
 PER_TUPLE_ERROR = 1e-10
 _BLOCK = 1 << 14
 _REJECT_BATCH = 4096
 _SHUFFLE_BATCH = 2048
+_PRIME_BUDGET = 10 ** 8  # allk_bound sieves the primes up to k^3
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def tkh_exact(k, h, target_error=PER_TUPLE_ERROR, budget=DEFAULT_BUDGET):
     flat = chain.from_iterable(combinations(range(1, h), k - 1))
     total = radii = 0.0
     while len(ds := np.fromiter(islice(flat, _BLOCK * (k - 1)), np.int64).reshape(-1, k - 1)):
-        vals, rads = singular_series_block(np.hstack([np.zeros((len(ds), 1), np.int64), ds]))
+        vals, rads, _ = singular_series_block(np.hstack([np.zeros((len(ds), 1), np.int64), ds]))
         weights = h - ds[:, -1]
         total += float(weights @ vals)
         radii += float(weights @ rads)
@@ -132,7 +134,7 @@ def tkh_monte_carlo(k, h, samples, seed, workers=1):
     return EstimateWithError(mean, stderr, samples, int(seed), int(workers))
 
 
-def allk_bound(k, prime_budget=10 ** 8):
+def allk_bound(k):
     """The pair (prod_{p <= k^3} (1 - 1/p)^{-k}, (3 log k)^k).
 
     The first component dominates every S(H) with |H| = k; the second is
@@ -142,10 +144,9 @@ def allk_bound(k, prime_budget=10 ** 8):
     if k < 2:
         raise ValueError("need k >= 2")
     kc = k ** 3
-    if kc > prime_budget:
-        raise ResourceError(f"k^3 = {kc} exceeds prime budget {prime_budget}")
+    if kc > _PRIME_BUDGET:
+        raise ResourceError(f"k^3 = {kc} exceeds prime budget {_PRIME_BUDGET}")
     frac = Fraction(1)
-    for p in primes_upto(kc):
-        p = int(p)
+    for p in primes_upto(kc).tolist():
         frac *= Fraction(p, p - 1)
     return float(frac ** k), (3.0 * math.log(k)) ** k

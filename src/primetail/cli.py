@@ -193,7 +193,7 @@ def _cmd_hl(args):
         if len(parts) != 3 or parts[2] < 1 or parts[1] < parts[0]:
             raise ValueError("--sweep wants A:B:S with A <= B and S >= 1")
         xs = list(range(parts[0], parts[1] + 1, parts[2]))
-    table = _load_table(args, max(args.x, xs[-1]) + H.offsets[-1] + 1)
+    table = _load_table(args, xs[-1] + H.offsets[-1] + 1)
     rows = [_row(r) for r in hl_sweep(H, xs, table)]
     columns = ["x", "hits", "prediction", "abs_error", "normalized", "normalized_alt"]
     _emit(args.format, config, columns, rows)

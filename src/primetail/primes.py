@@ -4,6 +4,8 @@ The table stores one bit per integer, 64 per little-endian word, so the
 full range to 10^8 fits in ~12 MB and popcounts come straight off the
 words. Window counts and the one tuple pass (hits and Lambda sums) stream
 the table in chunks, never more than a few million unpacked flags at once.
+Every list of small primes in the package (sieving primes, factoring,
+local factors, sieve weights) comes from the one growing cache primes_upto.
 """
 
 import math
@@ -19,14 +21,25 @@ DEFAULT_SEGMENT_BITS = 1 << 20
 _CHUNK = 1 << 22
 
 
-def _simple_sieve(limit):
-    """Boolean primality flags for 0..limit, one-shot Eratosthenes."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
+_primes, _cap = np.zeros(0, dtype=np.int64), 0
+
+
+def primes_upto(n):
+    """Sorted int64 array of the primes <= n, read off one shared cache.
+
+    The cache grows by at least doubling, one Eratosthenes pass each time;
+    callers get a view into it and must not mutate it.
+    """
+    global _primes, _cap
+    if n > _cap:
+        _cap = max(n, 2 * _cap, 1 << 17)
+        flags = np.ones(_cap + 1, dtype=bool)
+        flags[:2] = False
+        for p in range(2, math.isqrt(_cap) + 1):
+            if flags[p]:
+                flags[p * p :: p] = False
+        _primes = np.flatnonzero(flags).astype(np.int64)
+    return _primes[: np.searchsorted(_primes, n, side="right")]
 
 
 class PrimalityTable:
@@ -56,8 +69,7 @@ class PrimalityTable:
         segment_bits = max(64, (segment_bits // 64) * 64)
         n_bits = limit - base + 1
         words = np.zeros((n_bits + 63) // 64, dtype="<u8")
-        base_flags = _simple_sieve(max(math.isqrt(limit), 2))
-        base_primes = [int(p) for p in np.flatnonzero(base_flags)]
+        base_primes = primes_upto(math.isqrt(limit)).tolist()
         for seg_lo in range(base, limit + 1, segment_bits):
             seg_hi = min(seg_lo + segment_bits - 1, limit)
             n = seg_hi - seg_lo + 1
@@ -190,7 +202,7 @@ def window_counts(table, x, h):
 def _prime_powers(hi):
     """log p for each prime power p^j <= hi with j >= 2, keyed by p^j."""
     out = {}
-    for p in np.flatnonzero(_simple_sieve(math.isqrt(hi))).tolist():
+    for p in primes_upto(math.isqrt(hi)).tolist():
         q = p * p
         while q <= hi:
             out[q] = math.log(p)

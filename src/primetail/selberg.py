@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleModulusError
-from .primes import count_tuple_hits
-from .singular import as_tuple, primes_upto, singular_series, Tuple, _anchored, _nu_rows, _prime_factors
+from .primes import count_tuple_hits, primes_upto
+from .singular import as_tuple, singular_series, Tuple, _anchored, _nu_rows, _prime_factors
 
 log = logging.getLogger(__name__)
 
@@ -53,20 +53,19 @@ def g_value(d, H):
     return out
 
 
-def big_G(z, H, _with_skips=False):
+def big_G(z, H):
     """G(z) = sum over squarefree d < z of g(d).
 
-    Primes with nu(p) = p carry no valid weight; they are skipped with a
-    warning and a count, which keeps G finite for inadmissible tuples.
+    Primes with nu(p) = p carry no valid weight; they are skipped under a
+    warning that counts them, which keeps G finite for inadmissible tuples.
     """
     if z < 2:
         raise ValueError("need z >= 2")
     H = as_tuple(H)
     ps, nus = _nu_table(H, z)
     bad = nus == ps
-    skipped = int(np.count_nonzero(bad))
-    if skipped:
-        log.warning("big_G: skipping %d primes with nu(p) = p", skipped)
+    if bad.any():
+        log.warning("big_G: skipping %d primes with nu(p) = p", np.count_nonzero(bad))
     ps_l = ps[~bad].tolist()
     gs = [int(n) / (int(p) - int(n)) for p, n in zip(ps_l, nus[~bad].tolist())]
     total = 0.0
@@ -81,8 +80,6 @@ def big_G(z, H, _with_skips=False):
             extend(i + 1, nxt, weight * gs[i])
 
     extend(0, 1, 1.0)
-    if _with_skips:
-        return total, skipped
     return total
 
 

@@ -7,22 +7,22 @@ The defining product over all primes is split three ways:
     pairwise difference of H (only there can nu_p < k),
   * the tuple-independent generic tail prod_{p>k} (1 - k/p)/(1 - 1/p)^k.
 
-The generic tail's log is assembled once per k from cached prefix sums
-over an explicit prime list up to an analytic boundary, plus a prime-zeta
-series for everything beyond it, so a single evaluation costs
+The generic tail's log is computed once per k, and cached for good, as a
+sum over the primes up to an analytic boundary plus a prime-zeta series
+for everything beyond it, so a single evaluation costs
 O(pi(k) + #{p | D_H}) after the per-k warm-up. Error radii combine the
 zeta-series truncation bound with crude-but-sound rounding counts.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 
 import mpmath
 import numpy as np
 
 from .errors import ResourceError
-from .primes import _simple_sieve
+from .primes import primes_upto
 
 _EPS = 2.0 ** -52
 
@@ -73,10 +73,6 @@ class Tuple:
         offs = self.offsets
         return [offs[j] - offs[i] for i in range(len(offs)) for j in range(i + 1, len(offs))]
 
-    def diff_prime_set(self):
-        """Primes dividing some pairwise difference of the offsets."""
-        return set().union(*_prime_factors(self.pairwise_diffs()))
-
 
 def as_tuple(H):
     if isinstance(H, Tuple):
@@ -94,32 +90,6 @@ class SingularSeriesValue:
     value: float
     error_radius: float
     prime_limit: int
-
-
-class _PrimeCtx:
-    """Shared, lazily grown prime data plus per-exponent tail caches."""
-
-    def __init__(self):
-        self.cap = 0
-        self.primes = np.zeros(0, dtype=np.int64)
-        self.per_k = {}
-
-    def ensure(self, n):
-        if n <= self.cap:
-            return
-        n = max(n, 2 * self.cap, 1 << 17)
-        self.primes = np.flatnonzero(_simple_sieve(n)).astype(np.int64)
-        self.cap = n
-        self.per_k.clear()  # prefix sums index into the prime list; realign
-
-
-_ctx = _PrimeCtx()
-
-
-def primes_upto(n):
-    """Sorted int64 array of primes <= n (shared cache; do not mutate)."""
-    _ctx.ensure(n)
-    return _ctx.primes[: bisect_right(_ctx.primes, n)]
 
 
 def _prime_factors(ds):
@@ -180,39 +150,27 @@ def _zeta_tail_log(k, boundary):
     return total, rem + 1e-28
 
 
+def _log_f(k, P):
+    """log f_k(p) = log((1 - k/p) / (1 - 1/p)^k) at each prime k < p <= P."""
+    ps = primes_upto(P)
+    pf = ps[np.searchsorted(ps, k, side="right") :].astype(np.float64)
+    return np.log1p(-float(k) / pf) - k * np.log1p(-1.0 / pf)
+
+
+@cache
 def _kdata(k):
-    """Per-k tail data: prefix sums of log f_k over the cached primes and
-    the assembled log of the full generic tail with its error budget."""
-    got = _ctx.per_k.get(k)
-    if got is not None:
-        return got
+    """(log of the generic tail prod_{p>k} f_k(p), a bound on its error).
+
+    The primes k < p <= boundary are summed in order by np.cumsum, the rest
+    come from the prime-zeta series, so nothing depends on how far the prime
+    cache has grown.
+    """
     boundary = max(1000, 4 * k * k)
-    _ctx.ensure(boundary)
-    ps = _ctx.primes
-    idx0 = int(bisect_right(ps, k))
-    pf = ps[idx0:].astype(np.float64)
-    logf = np.log1p(-float(k) / pf) - k * np.log1p(-1.0 / pf)
-    prefix = np.zeros(len(logf) + 1)
-    np.cumsum(logf, out=prefix[1:])
-    idxq = int(bisect_right(ps, boundary))
-    head = float(prefix[idxq - idx0])
-    head_abs = float(np.abs(logf[: idxq - idx0]).sum())
+    logf = _log_f(k, boundary)
+    head = float(np.cumsum(logf)[-1])
+    head_abs = float(np.abs(logf).sum())
     ztail, zbound = _zeta_tail_log(k, boundary)
-    d = {
-        "idx0": idx0,
-        "prefix": prefix,
-        "log_cinf": head + ztail,
-        "err_log": 4.0 * (idxq - idx0 + 4) * _EPS * (head_abs + abs(ztail)) + zbound,
-        "boundary": boundary,
-    }
-    _ctx.per_k[k] = d
-    return d
-
-
-def _generic_log_partial(kd, P):
-    """sum of log f_k(p) over k < p <= P, from the cached prefix sums."""
-    idx = int(bisect_right(_ctx.primes, P))
-    return float(kd["prefix"][max(idx - kd["idx0"], 0)])
+    return head + ztail, 4.0 * (len(logf) + 4) * _EPS * (head_abs + abs(ztail)) + zbound
 
 
 # -- local factors -------------------------------------------------------
@@ -281,8 +239,7 @@ def singular_series(H, target_error=1e-9):
     k = H.k
     if k <= 1:
         return SingularSeriesValue(1.0, 0.0, 2)
-    value, radius = (float(a[0]) for a in singular_series_block(_anchored(H)[None]))
-    plimit = max(2 * k * k, max(H.diff_prime_set(), default=0))
+    value, radius, plimit = (a[0].item() for a in singular_series_block(_anchored(H)[None]))
     if target_error is not None and radius > target_error:
         need = 4 * k * k * max(value, 1.0) / target_error
         raise ResourceError(
@@ -299,24 +256,27 @@ def _nu_rows(rows, p, axis=-1):
 
 
 def singular_series_block(rows):
-    """S(H) and its error radius for each strictly increasing row of an (n, k) block.
+    """S(H), its error radius and its prime limit for each strictly increasing
+    row of an (n, k) block.
 
     The factors at p <= k come first and leave inadmissible rows at 0.0 with
     radius 0; only the other rows have their differences factored, and get
-    nu_H(p) at the primes p > k found there. Rows do not affect each other,
-    and log/exp go through math so that no value depends on NumPy's SIMD build.
+    nu_H(p) at the primes p > k found there. A row's prime limit is the
+    largest of 2k^2 and those primes, so inadmissible rows report 2k^2. Rows
+    do not affect each other, and log/exp go through math so that no value
+    depends on NumPy's SIMD build.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n, k = rows.shape
-    values, radii = np.ones(n), np.zeros(n)
+    values, radii, limits = np.ones(n), np.zeros(n), np.full(n, 2 * k * k)
     if k <= 1:
-        return values, radii
+        return values, radii, limits
     small = primes_upto(k)
     for p, nu in zip(small.tolist(), _nu_rows(rows[:, :, None], small, axis=1).T):
         values *= np.array([(p - v) * p ** (k - 1) / (p - 1) ** k for v in range(p + 1)])[nu]
     live = np.flatnonzero(values)
     if len(live) == 0:
-        return values, radii
+        return values, radii, limits
     H = rows[live]
     i, j = np.triu_indices(k, 1)
     uniq, inv = np.unique(H[:, j] - H[:, i], return_inverse=True)
@@ -326,33 +286,18 @@ def singular_series_block(rows):
     # per row, the distinct primes p > k dividing a difference, ascending; 0 pads
     ps = np.sort(table[inv.reshape(len(H), -1)].reshape(len(H), -1), axis=1)
     ps[:, 1:][ps[:, 1:] == ps[:, :-1]] = 0
+    limits[live] = np.maximum(limits[live], ps.max(axis=1))
     hit = ps > 0
     nu = _nu_rows(H[:, :, None], np.where(hit, ps, 1)[:, None, :], axis=1)
     t = np.zeros(ps.shape)
     t[hit] = [math.log((p - v) / (p - k)) for p, v in zip(ps[hit].tolist(), nu[hit].tolist())]
     corr = np.cumsum(t, axis=1)[:, -1]  # every t >= 0, so this is also the sum of |t|
-    kd = _kdata(k)
-    values[live] *= [math.exp(c + kd["log_cinf"]) for c in corr.tolist()]
-    log_err = kd["err_log"] + 4.0 * (hit.sum(axis=1) + 2) * _EPS * corr
+    log_cinf, err_log = _kdata(k)
+    values[live] *= [math.exp(c + log_cinf) for c in corr.tolist()]
+    log_err = err_log + 4.0 * (hit.sum(axis=1) + 2) * _EPS * corr
     em1 = np.array([math.expm1(e) for e in log_err.tolist()])
     radii[live] = np.abs(values[live]) * (em1 + (4 + 2 * len(small)) * _EPS)
-    return values, radii
-
-
-def partial_product(H, P):
-    """prod_{p <= P} of the local factors, with no tail attached.
-
-    Truncation diagnostics only; singular_series is the accurate route.
-    """
-    H = as_tuple(H)
-    k = H.k
-    if k <= 1:
-        return 1.0
-    _ctx.ensure(max(P, 4 * k * k))
-    value = math.prod(local_factor(p, residue_classes(H, p), k) for p in primes_upto(min(k, P)).tolist())
-    dps = sorted(p for p in H.diff_prime_set() if k < p <= P)
-    corr = sum(math.log((p - residue_classes(H, p)) / (p - k)) for p in dps)
-    return value * math.exp(_generic_log_partial(_kdata(k), P) + corr)
+    return values, radii, limits
 
 
 def jensen_split_bound(H):
@@ -367,11 +312,9 @@ def jensen_split_bound(H):
     if k < 2:
         raise ValueError("need k >= 2")
     kc = k ** 3
-    _ctx.ensure(kc)
-    kd = _kdata(k)
     ps = primes_upto(kc).astype(np.float64)
     head = float(np.exp(-k * np.log1p(-1.0 / ps).sum()))
-    tail = math.exp(kd["log_cinf"] - _generic_log_partial(kd, kc))
+    tail = math.exp(_kdata(k)[0] - float(np.cumsum(_log_f(k, kc))[-1]))
     cc = k * (k - 1) // 2
     acc = 0.0
     for f in _prime_factors(H.pairwise_diffs()):

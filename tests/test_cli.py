@@ -164,6 +164,26 @@ def test_hl_sweep_tsv_columns(capsys):
     assert len(ls) == 5  # header, columns, three checkpoints
 
 
+def test_hl_sweep_sieves_only_to_the_checkpoints(tmp_path, capsys):
+    # with --sweep the checkpoints are all that is reported, so --x may lie
+    # far beyond the table
+    path = str(tmp_path / "t.pkt")
+    assert run_cli(capsys, "sieve-cache", "--limit", "300", "--out", path)[0] == 0
+    code, out, err = run_cli(capsys, "hl", "--tuple", "0,2", "--x", "1000000000",
+                             "--sweep", "100:200:50", "--cache", path)
+    assert code == 0, err
+    assert [json.loads(l)["x"] for l in lines_of(out)[1:]] == [100, 150, 200]
+
+
+@pytest.mark.parametrize("tup, limit", [("0,1,1000004", 18), (f"0,{2 ** 63 - 1}", 8)])
+def test_singular_inadmissible_prime_limit(capsys, tup, limit):
+    # ruled out at p <= k, so no difference is factored and the limit is 2k^2
+    code, out, _ = run_cli(capsys, "singular", "--tuple", tup)
+    assert code == 0
+    rec = json.loads(lines_of(out)[1])
+    assert (rec["value"], rec["prime_limit"], rec["admissible"]) == (0.0, limit, False)
+
+
 def test_selberg_record(capsys):
     code, out, _ = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "100000",
                            "--epsilon", "0.1")
@@ -333,8 +353,9 @@ def test_hl_bad_sweep_exits_2(capsys, sweep):
 
 
 def test_singular_huge_difference_exits_3(capsys):
-    # factoring 2^63 - 1 would sieve to 3e9 before it finds a factor
-    code, out, err = run_cli(capsys, "singular", "--tuple", f"0,{2 ** 63 - 1}")
+    # the difference is even, so {0, d} is admissible and d must be factored;
+    # that would sieve primes up to isqrt(d) = 3e9
+    code, out, err = run_cli(capsys, "singular", "--tuple", f"0,{2 ** 63 - 2}")
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "limit 10^7" in err

@@ -19,7 +19,7 @@ from primetail import (
     theorem_bound,
 )
 from primetail.errors import InadmissibleModulusError
-from primetail.singular import primes_upto
+from primetail.primes import primes_upto
 
 TWIN = Tuple.parse("0,2")
 
@@ -89,9 +89,8 @@ def test_big_G_monotone_in_z():
 def test_big_G_skips_covered_primes(caplog):
     H = Tuple.parse("0,1,2")  # nu(2) = 2 and nu(3) = 3
     with caplog.at_level(logging.WARNING):
-        total, skipped = big_G(10, H, _with_skips=True)
-    assert skipped == 2
-    assert "nu(p) = p" in caplog.text
+        total = big_G(10, H)
+    assert "skipping 2 primes with nu(p) = p" in caplog.text
     # remaining moduli are 1, 5, 7 with nu = 3
     assert total == pytest.approx(1 + 3 / 2 + 3 / 4, rel=1e-14)
 

@@ -20,13 +20,14 @@ from primetail import (
     is_admissible,
     jensen_split_bound,
     local_factor,
-    partial_product,
     residue_classes,
     singular_series,
     tail_log_bound,
 )
+from primetail import primes, singular
 from primetail.errors import ResourceError
-from primetail.singular import _prime_factors, primes_upto, singular_series_block
+from primetail.primes import primes_upto
+from primetail.singular import _prime_factors, singular_series_block
 
 TWIN_CONSTANT = 1.320323631693739  # doubled product of 1 - 1/(p-1)^2 over odd p
 TRIPLE_026 = 2.858248595490  # direct product to 1e8, radius 7e-9
@@ -265,28 +266,51 @@ def test_translation_invariance_bit_exact():
 def test_prime_limit_tracks_difference_support():
     assert singular_series(Tuple.parse("0,2"), None).prime_limit == 8
     assert singular_series(Tuple.parse("0,202"), None).prime_limit == 101  # 202 = 2 * 101
+    # nothing past p <= k is consulted once a small prime rules the tuple out,
+    # so the prime 1000003 dividing 1000004 - 1 does not show: 2k^2 = 18
+    assert singular_series(Tuple.parse("0,1,1000004")).prime_limit == 18
 
 
-def test_radius_consistent_with_partial_products():
-    # the literal truncations must converge into value +- radius
+def _literal_product(offs, P):
+    """prod_{p <= P} (1 - nu/p) / (1 - 1/p)^k straight from the definition.
+
+    Exact Fractions at p <= k, math.log1p terms above k, over primes
+    sieved here.
+    """
+    k = len(offs)
+    flags = bytearray([1]) * (P + 1)
+    for n in range(2, math.isqrt(P) + 1):
+        if flags[n]:
+            flags[n * n :: n] = bytes(len(range(n * n, P + 1, n)))
+    ps = [n for n in range(2, P + 1) if flags[n]]
+    exact, log_rest = Fraction(1), 0.0
+    for p in ps:
+        nu = len({t % p for t in offs})
+        if p <= k:
+            exact *= Fraction(p - nu, p) / Fraction(p - 1, p) ** k
+        else:
+            log_rest += math.log1p(-nu / p) - k * math.log1p(-1 / p)
+    return float(exact) * math.exp(log_rest)
+
+
+def test_literal_truncations_converge_into_radius():
     H = Tuple.parse("0,4,6")
     sv = singular_series(H, None)
     for P in (10 ** 3, 10 ** 4, 10 ** 5):
-        pp = partial_product(H, P)
+        pp = _literal_product(H.offsets, P)
         gap = abs(pp) * math.expm1(tail_log_bound(3, P))
         assert abs(pp - sv.value) <= gap + sv.error_radius
+        assert abs(pp - sv.value) > sv.error_radius  # the truncation still shows
+    assert _literal_product((0, 1), 100) == 0.0
 
 
-def test_partial_product_truncation_consistency():
-    H = Tuple.parse("0,6,12,18")
-    for p1, p2 in ((200, 10 ** 4), (10 ** 4, 10 ** 5)):
-        a = partial_product(H, p1)
-        b = partial_product(H, p2)
-        assert abs(b - a) <= abs(a) * math.expm1(tail_log_bound(4, p1)) + 1e-12
-
-
-def test_partial_product_inadmissible():
-    assert partial_product(Tuple.parse("0,1"), 100) == 0.0
+def test_tail_cache_independent_of_prime_cache_growth():
+    tuples = [Tuple.parse(t) for t in ("0,2", "0,2,6", "0,4,6,10", "0,2,6,8,12,18,20,26,30,32")]
+    before = [(singular_series(H, None), jensen_split_bound(H)) for H in tuples]
+    primes_upto(max(3 * 10 ** 6, primes._cap + 1))  # always a growth
+    singular._kdata.cache_clear()
+    after = [(singular_series(H, None), jensen_split_bound(H)) for H in tuples]
+    assert before == after
 
 
 def test_unreachable_target_names_required_prime():
@@ -381,7 +405,7 @@ def test_block_kernel_matches_euler_oracle(k, seed):
         if rows[-1] is None:
             rows.pop()
     block = np.array([[t - r[0] for t in r] for r in rows], dtype=np.int64)
-    values, radii = singular_series_block(block)
+    values, radii, _ = singular_series_block(block)
     n_adm = 0
     for row, v, r in zip(block.tolist(), values.tolist(), radii.tolist()):
         # a row's result must not depend on the rows batched with it
@@ -397,10 +421,13 @@ def test_block_kernel_matches_euler_oracle(k, seed):
 
 
 def test_block_kernel_degenerate_shapes():
-    assert [a.tolist() for a in singular_series_block(np.zeros((3, 1), np.int64))] == [[1.0] * 3, [0.0] * 3]
-    values, radii = singular_series_block(np.zeros((0, 4), np.int64))
-    assert values.shape == radii.shape == (0,)
+    got = singular_series_block(np.zeros((3, 1), np.int64))
+    assert [a.tolist() for a in got] == [[1.0] * 3, [0.0] * 3, [2] * 3]
+    values, radii, limits = singular_series_block(np.zeros((0, 4), np.int64))
+    assert values.shape == radii.shape == limits.shape == (0,)
     # no prime above k = 2 divides the difference of {0, 2}: no corrections at all
-    values, radii = singular_series_block(np.array([[0, 2], [0, 1]]))
+    values, radii, limits = singular_series_block(np.array([[0, 2], [0, 1], [0, 202], [0, 203]]))
     assert values[0] == pytest.approx(TWIN_CONSTANT, abs=1e-12) and 0 < radii[0] <= 1e-12
     assert (values[1], radii[1]) == (0.0, 0.0)
+    # the limit is max(2k^2, largest prime > k in a difference); 203 = 7 * 29 is odd
+    assert limits.tolist() == [8, 8, 101, 8]
