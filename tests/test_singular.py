@@ -293,7 +293,8 @@ def _literal_product(offs, P):
     return float(exact) * math.exp(log_rest)
 
 
-def test_literal_truncations_converge_into_radius():
+def test_radius_consistent_with_partial_products():
+    # the literal truncations must converge into value +- radius
     H = Tuple.parse("0,4,6")
     sv = singular_series(H, None)
     for P in (10 ** 3, 10 ** 4, 10 ** 5):
@@ -301,7 +302,13 @@ def test_literal_truncations_converge_into_radius():
         gap = abs(pp) * math.expm1(tail_log_bound(3, P))
         assert abs(pp - sv.value) <= gap + sv.error_radius
         assert abs(pp - sv.value) > sv.error_radius  # the truncation still shows
+
+
+def test_partial_product_inadmissible():
+    # (0,1) covers both classes mod 2: the literal product and S(H) are exact zeros
     assert _literal_product((0, 1), 100) == 0.0
+    sv = singular_series(Tuple.parse("0,1"), None)
+    assert sv.value == 0.0 and sv.error_radius == 0.0
 
 
 def test_tail_cache_independent_of_prime_cache_growth():
