@@ -9,13 +9,13 @@ a fixed (seed, samples, workers) triple. Both evaluate S in batches.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations, islice
 
+import mpmath
 import numpy as np
 
 from .errors import ResourceError
-from .primes import primes_upto
+from .primes import _PRIME_BUDGET, primes_upto
 from .singular import singular_series_block
 
 DEFAULT_BUDGET = 10 ** 7
@@ -23,7 +23,6 @@ PER_TUPLE_ERROR = 1e-10
 _BLOCK = 1 << 14
 _REJECT_BATCH = 4096
 _SHUFFLE_BATCH = 2048
-_PRIME_BUDGET = 10 ** 8  # allk_bound sieves the primes up to k^3
 
 
 @dataclass(frozen=True)
@@ -139,14 +138,17 @@ def allk_bound(k):
 
     The first component dominates every S(H) with |H| = k; the second is
     its clean closed-form stand-in for quick size estimates. The product
-    is taken over exact rationals so small cases come out exactly.
+    multiplies, at 40 digits, the exact integer ratio of each run of 256
+    primes, so its float is the exact product's for small k; past the
+    float range a component is inf.
     """
     if k < 2:
         raise ValueError("need k >= 2")
     kc = k ** 3
     if kc > _PRIME_BUDGET:
         raise ResourceError(f"k^3 = {kc} exceeds prime budget {_PRIME_BUDGET}")
-    frac = Fraction(1)
-    for p in primes_upto(kc).tolist():
-        frac *= Fraction(p, p - 1)
-    return float(frac ** k), (3.0 * math.log(k)) ** k
+    ps = primes_upto(kc).tolist()
+    with mpmath.workdps(40):
+        runs = (ps[i : i + 256] for i in range(0, len(ps), 256))
+        prod = mpmath.fprod(mpmath.mpf(math.prod(r)) / math.prod(p - 1 for p in r) for r in runs)
+        return float(prod ** k), float(mpmath.mpf(3.0 * math.log(k)) ** k)

@@ -128,32 +128,16 @@ def _cmd_tkh(args):
     }
     if mode == "exact":
         got = tkh_exact(k, h)
-        rec = {
-            "k": k,
-            "h": h,
-            "mode": mode,
-            "value_or_mean": got.value,
-            "error": got.error,
-            "samples": None,
-            "seed": None,
-            "normalized": got.value / float(h) ** k,
-        }
+        mean, error, samples, seed, scale = got.value, got.error, None, None, 1
     else:
         est = tkh_monte_carlo(k, h, args.samples, args.seed, workers=args.threads)
+        mean, error, samples, seed = est.mean, est.stderr, est.samples, est.seed
         # T_k(h) = k! C(h,k) * mean of S over uniform sorted k-subsets
         scale = math.factorial(k) * math.comb(h, k)
-        rec = {
-            "k": k,
-            "h": h,
-            "mode": mode,
-            "value_or_mean": est.mean,
-            "error": est.stderr,
-            "samples": est.samples,
-            "seed": est.seed,
-            "normalized": scale * est.mean / float(h) ** k,
-            "tkh_estimate": scale * est.mean,
-            "workers": est.workers,
-        }
+    rec = {"k": k, "h": h, "mode": mode, "value_or_mean": mean, "error": error,
+           "samples": samples, "seed": seed, "normalized": scale * mean / float(h) ** k}
+    if mode == "mc":
+        rec |= {"tkh_estimate": scale * mean, "workers": est.workers}
     _emit(args.format, config, list(rec), [rec])
     return 0
 

@@ -3,7 +3,8 @@
 The table stores one bit per integer, 64 per little-endian word, so the
 full range to 10^8 fits in ~12 MB and popcounts come straight off the
 words. Window counts and the one tuple pass (hits and Lambda sums) stream
-the table in chunks, never more than a few million unpacked flags at once.
+the table in chunks, never more than a few million unpacked flags at once;
+past the unpack, a chunk of window counts costs O(primes in it), not O(chunk).
 Every list of small primes in the package (sieving primes, factoring,
 local factors, sieve weights) comes from the one growing cache primes_upto.
 """
@@ -19,6 +20,7 @@ from .errors import CoverageError
 _MAGIC = b"PKT1"
 DEFAULT_SEGMENT_BITS = 1 << 20
 _CHUNK = 1 << 22
+_PRIME_BUDGET = 10 ** 8  # allk_bound and jensen_split_bound sieve the primes up to k^3
 
 
 _primes, _cap = np.zeros(0, dtype=np.int64), 0
@@ -179,7 +181,9 @@ def window_counts(table, x, h):
 
     Windows are half-open at the left, so for integer n they hold the
     integers n+1 .. n+floor(h). Requires the table to cover
-    [1, x + ceil(h)].
+    [1, x + ceil(h)]. With m = floor(h), c(n) rises by one at n = p - m and
+    falls by one at n = p for each prime p, so each _CHUNK block of n is
+    binned by the lengths of the runs between these events.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -190,11 +194,15 @@ def window_counts(table, x, h):
     acc = np.zeros(m + 2, dtype=np.int64)
     for a in range(1, x + 1, _CHUNK):
         b = min(a + _CHUNK - 1, x)
-        flags = table.bools(a + 1, b + m)
-        cs = np.zeros(len(flags) + 1, dtype=np.int64)
-        np.cumsum(flags, out=cs[1:])
-        c = cs[m : m + (b - a + 1)] - cs[: b - a + 1]
-        acc += np.bincount(c, minlength=m + 2)
+        ps = table.primes(a + 1, b + m)
+        # both event runs are sorted, so the stable sort is one merge; key 2n puts
+        # a rise before a fall at n, so c never dips below 0 (m = 0 ties every event)
+        keys = np.sort(np.concatenate((np.maximum(ps - m, a) * 2, ps * 2 + 1)), kind="stable")
+        runs = np.diff(np.minimum(np.concatenate(([a], keys >> 1, [b + 1])), b + 1))
+        c = np.concatenate(([0], np.cumsum(1 - 2 * (keys & 1))))
+        # float weights add exactly: a block holds at most _CHUNK <= 2^53 windows
+        acc += np.bincount(c, weights=runs, minlength=m + 2).astype(np.int64)
+        del ps, keys, runs, c  # the next block starts from nothing, so memory stays one block
     counts = {int(c): int(n) for c, n in enumerate(acc) if n}
     return WindowHistogram(x, float(h), counts)
 

@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from .errors import ResourceError
-from .primes import primes_upto
+from .primes import _PRIME_BUDGET, primes_upto
 
 _EPS = 2.0 ** -52
 
@@ -133,7 +133,6 @@ def _zeta_tail_log(k, boundary):
     sums turns the far tail into prime-zeta values minus finite prefixes.
     Valid because boundary >= 4k^2 keeps every k/p well inside (0, 1/2).
     """
-    total = 0.0
     with mpmath.workdps(50):
         qs = [mpmath.mpf(int(q)) for q in primes_upto(boundary)]
         acc = mpmath.mpf(0)
@@ -146,8 +145,7 @@ def _zeta_tail_log(k, boundary):
             rem = boundary * (k / boundary) ** m / (m * (m - 1) * (1 - k / boundary))
             if rem < 1e-26 or m > 400:
                 break
-        total = float(acc)
-    return total, rem + 1e-28
+    return float(acc), rem + 1e-28
 
 
 def _log_f(k, P):
@@ -312,11 +310,13 @@ def jensen_split_bound(H):
     if k < 2:
         raise ValueError("need k >= 2")
     kc = k ** 3
-    ps = primes_upto(kc).astype(np.float64)
-    head = float(np.exp(-k * np.log1p(-1.0 / ps).sum()))
-    tail = math.exp(_kdata(k)[0] - float(np.cumsum(_log_f(k, kc))[-1]))
+    if kc > _PRIME_BUDGET:
+        raise ResourceError(f"k^3 = {kc} exceeds prime budget {_PRIME_BUDGET}")
+    log_head = -k * float(np.log1p(-1.0 / primes_upto(kc)).sum())
+    log_tail = _kdata(k)[0] - float(np.cumsum(_log_f(k, kc))[-1])
     cc = k * (k - 1) // 2
     acc = 0.0
     for f in _prime_factors(H.pairwise_diffs()):
         acc += math.exp(2.0 * cc * sum(1.0 / p for p in f if p > kc))
-    return head * tail * acc / cc
+    # mpf -> float gives inf past the float range, and inf is still an upper bound
+    return float(mpmath.exp(log_head + log_tail + math.log(acc / cc)))

@@ -1,6 +1,7 @@
 """T_k(h) paths: exact enumeration, pair fast path, Monte Carlo, size bound."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -171,6 +172,25 @@ def test_allk_bound_k3_product_oracle():
         prod *= 1.0 - 1.0 / p
     assert first == pytest.approx(prod ** -3, rel=1e-12)
     assert second == pytest.approx((3 * math.log(3)) ** 3, rel=1e-15)
+
+
+def test_allk_bound_matches_fraction_product():
+    # exact rationals over trial-division primes, independent of the sieve and of mpmath
+    primes = [p for p in range(2, 20 ** 3 + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for k in range(2, 21):
+        frac = Fraction(1)
+        for p in primes:
+            if p > k ** 3:
+                break
+            frac *= Fraction(p, p - 1)
+        assert allk_bound(k)[0] == float(frac ** k), k
+
+
+def test_allk_bound_past_float_range_is_inf():
+    # k = 212 is the first k whose product exceeds the largest float
+    first, second = allk_bound(212)
+    assert first == math.inf
+    assert second == pytest.approx((3 * math.log(212)) ** 212, rel=1e-13)
 
 
 def test_allk_bound_dominates_series():

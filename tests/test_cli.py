@@ -361,6 +361,14 @@ def test_singular_huge_difference_exits_3(capsys):
     assert err.count("\n") == 1 and "limit 10^7" in err
 
 
+def test_singular_jensen_past_prime_budget_exits_3(capsys):
+    offsets = ",".join(str(t) for t in range(0, 930, 2))  # k = 465, k^3 above 10^8
+    code, out, err = run_cli(capsys, "singular", "--tuple", offsets, "--jensen")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "prime budget" in err
+
+
 def test_bad_tuple_exit_code(capsys):
     code, _, err = run_cli(capsys, "singular", "--tuple", "0,2,2")
     assert code == 2

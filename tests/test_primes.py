@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,59 @@ def test_window_counts_chunk_invariance(table_1e6, monkeypatch):
     monkeypatch.setattr(primes, "_CHUNK", 977)
     a = window_counts(table_1e6, 40000, 13.2)
     assert a == b
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_window_counts_block_edges(monkeypatch, chunk):
+    # h = 0.5 gives m = 0 and h = 200 gives m > chunk; x falls on both sides of
+    # a block edge, on one, and between edges
+    t = sieve_range(0, 5 * 64 + 201)
+    flags = [t.is_prime(n) for n in range(t.limit + 1)]
+    monkeypatch.setattr(primes, "_CHUNK", chunk)
+    for h in (0.5, 1, 2.7, 63.9, 200.0):
+        m = int(h)
+        for x in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3, 5 * chunk - 2):
+            brute = {}
+            for n in range(1, x + 1):
+                c = sum(flags[n + 1 : n + m + 1])
+                brute[c] = brute.get(c, 0) + 1
+            assert window_counts(t, x, h).counts == brute, (h, x)
+
+
+def test_window_counts_large_x_moments(table_1e7):
+    # sum_c c N_c counts each prime p once per n in [max(1, p - m), min(x, p - 1)];
+    # sum_c c(c-1) N_c counts each pair p < q with q - p < m twice per n in
+    # [max(1, q - m), min(x, p - 1)]
+    x = 10 ** 7
+    h = math.log(x)
+    m = int(h)
+    ps = table_1e7.primes(2, x + m)
+    first = np.clip(np.minimum(x, ps - 1) - np.maximum(1, ps - m) + 1, 0, None).sum()
+    second = 0
+    for j in range(1, m):
+        p, q = ps[:-j], ps[j:]
+        span = np.minimum(x, p - 1) - np.maximum(1, q - m) + 1
+        second += 2 * int(span[(q - p < m) & (span > 0)].sum())
+    counts = window_counts(table_1e7, x, h).counts
+    assert sum(c * n for c, n in counts.items()) == int(first)
+    assert sum(c * (c - 1) * n for c, n in counts.items()) == second
+
+
+@pytest.mark.parametrize("chunk, blocks", [(primes._CHUNK, 2), (1 << 20, 8)])
+def test_window_counts_memory_bounded_by_chunk(table_1e7, monkeypatch, chunk, blocks):
+    # eight small blocks expose a per-block leak that two default ones would hide
+    monkeypatch.setattr(primes, "_CHUNK", chunk)
+    h = math.log(blocks * chunk)
+    window_counts(table_1e7, 1000, h)  # warm up outside the measurement
+    peaks = []
+    for x in (chunk, blocks * chunk):
+        tracemalloc.start()
+        try:
+            window_counts(table_1e7, x, h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_window_counts_validation(table_1e6):

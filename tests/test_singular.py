@@ -7,6 +7,7 @@ separately and pinned here with tolerances covering that run's own error.
 
 import functools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -348,6 +349,19 @@ def test_jensen_prime_gap_ratio():
     # {0,2} by exactly exp(2/q): the shared head and tail cancel
     ratio = jensen_split_bound(Tuple.parse("0,11")) / jensen_split_bound(Tuple.parse("0,2"))
     assert ratio == pytest.approx(math.exp(2.0 / 11.0), rel=1e-12)
+
+
+def test_jensen_past_float_range_is_inf_without_warning():
+    # k = 250: the head alone is about e^846, past the largest float (about e^709.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert jensen_split_bound(Tuple(tuple(range(0, 500, 2)))) == math.inf
+
+
+def test_jensen_refuses_past_prime_budget():
+    # k = 465 would sieve the primes up to k^3 = 1.005e8
+    with pytest.raises(ResourceError, match="prime budget"):
+        jensen_split_bound(Tuple(tuple(range(0, 930, 2))))
 
 
 def test_jensen_needs_pairs():
