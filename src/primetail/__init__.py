@@ -1,7 +1,14 @@
 """Prime tuple singular series, window count statistics, and sieve bounds."""
 
 from .errors import CoverageError, InadmissibleModulusError, ResourceError
-from .primes import PrimalityTable, WindowHistogram, count_tuple_hits, sieve_range, window_counts
+from .primes import (
+    PrimalityTable,
+    WindowHistogram,
+    count_tuple_hits,
+    sieve_range,
+    vonmangoldt,
+    window_counts,
+)
 from .singular import (
     SingularSeriesValue,
     Tuple,
@@ -36,7 +43,7 @@ from .moments import (
     tail_count,
     tail_report,
 )
-from .hl import HLReport, hl_error, hl_error_lambda, hl_sweep, li_k, vonmangoldt
+from .hl import HLReport, hl_error, hl_error_lambda, hl_sweep, li_k
 from .selberg import (
     SieveReport,
     big_G,

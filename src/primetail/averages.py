@@ -147,8 +147,8 @@ def allk_bound(k):
     kc = k ** 3
     if kc > _PRIME_BUDGET:
         raise ResourceError(f"k^3 = {kc} exceeds prime budget {_PRIME_BUDGET}")
-    ps = primes_upto(kc).tolist()
+    ps = primes_upto(kc)
     with mpmath.workdps(40):
-        runs = (ps[i : i + 256] for i in range(0, len(ps), 256))
+        runs = (ps[i : i + 256].tolist() for i in range(0, len(ps), 256))
         prod = mpmath.fprod(mpmath.mpf(math.prod(r)) / math.prod(p - 1 for p in r) for r in runs)
         return float(prod ** k), float(mpmath.mpf(3.0 * math.log(k)) ** k)

@@ -12,7 +12,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .primes import tuple_counts, vonmangoldt  # noqa: F401 (vonmangoldt is re-exported)
+from .primes import tuple_counts
 from .singular import Tuple, as_tuple, singular_series
 
 

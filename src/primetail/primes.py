@@ -5,8 +5,9 @@ full range to 10^8 fits in ~12 MB and popcounts come straight off the
 words. Window counts and the one tuple pass (hits and Lambda sums) stream
 the table in chunks, never more than a few million unpacked flags at once;
 past the unpack, a chunk of window counts costs O(primes in it), not O(chunk).
-Every list of small primes in the package (sieving primes, factoring,
-local factors, sieve weights) comes from the one growing cache primes_upto.
+Every list of small primes in the package (sieving primes, factoring, local
+factors, sieve weights) comes from the one growing cache primes_upto. One
+segmented Eratosthenes pass, _segments, grows that cache and fills the tables.
 """
 
 import math
@@ -18,29 +19,42 @@ import numpy as np
 from .errors import CoverageError
 
 _MAGIC = b"PKT1"
-DEFAULT_SEGMENT_BITS = 1 << 20
+_SEGMENT = 1 << 20  # flags per sieve segment; must stay a multiple of 64: sieve_range packs whole words
 _CHUNK = 1 << 22
 _PRIME_BUDGET = 10 ** 8  # allk_bound and jensen_split_bound sieve the primes up to k^3
 
 
-_primes, _cap = np.zeros(0, dtype=np.int64), 0
+_primes, _cap = np.zeros(0, dtype=np.int64), 1  # no primes <= 1, so growth bottoms out
+
+
+def _segments(lo, hi):
+    """Yield (seg_lo, primality flags) over [lo, hi], _SEGMENT flags at a time."""
+    base_primes = primes_upto(math.isqrt(hi)).tolist()
+    for seg_lo in range(lo, hi + 1, _SEGMENT):
+        seg_hi = min(seg_lo + _SEGMENT - 1, hi)
+        seg = np.ones(seg_hi - seg_lo + 1, dtype=bool)
+        if seg_lo < 2:
+            seg[: 2 - seg_lo] = False
+        for p in base_primes:
+            start = max(p * p, (seg_lo + p - 1) // p * p)
+            if start > seg_hi:
+                continue
+            seg[start - seg_lo :: p] = False
+        yield seg_lo, seg
 
 
 def primes_upto(n):
     """Sorted int64 array of the primes <= n, read off one shared cache.
 
-    The cache grows by at least doubling, one Eratosthenes pass each time;
-    callers get a view into it and must not mutate it.
+    The cache grows by at least doubling, through the segmented pass that
+    sieve_range packs; callers get a view into it and must not mutate it.
     """
     global _primes, _cap
     if n > _cap:
-        _cap = max(n, 2 * _cap, 1 << 17)
-        flags = np.ones(_cap + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, math.isqrt(_cap) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        _primes = np.flatnonzero(flags).astype(np.int64)
+        top = max(n, 2 * _cap)
+        primes_upto(math.isqrt(top))  # the sieving primes first: this may grow _cap
+        found = [np.flatnonzero(seg) + seg_lo for seg_lo, seg in _segments(_cap + 1, top)]
+        _primes, _cap = np.concatenate([_primes, *found]), top
     return _primes[: np.searchsorted(_primes, n, side="right")]
 
 
@@ -61,34 +75,6 @@ class PrimalityTable:
         self.base = base
         self.limit = limit
         self.words = np.ascontiguousarray(words, dtype="<u8")
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def sieve(cls, base, limit, segment_bits=DEFAULT_SEGMENT_BITS):
-        if base < 0 or limit < base:
-            raise ValueError(f"invalid range [{base}, {limit}]")
-        segment_bits = max(64, (segment_bits // 64) * 64)
-        n_bits = limit - base + 1
-        words = np.zeros((n_bits + 63) // 64, dtype="<u8")
-        base_primes = primes_upto(math.isqrt(limit)).tolist()
-        for seg_lo in range(base, limit + 1, segment_bits):
-            seg_hi = min(seg_lo + segment_bits - 1, limit)
-            n = seg_hi - seg_lo + 1
-            seg = np.ones(n, dtype=bool)
-            if seg_lo < 2:
-                seg[: min(2 - seg_lo, n)] = False
-            for p in base_primes:
-                start = max(p * p, (seg_lo + p - 1) // p * p)
-                if start > seg_hi:
-                    continue
-                seg[start - seg_lo :: p] = False
-            packed = np.packbits(seg, bitorder="little")
-            buf = np.zeros(((n + 63) // 64) * 8, dtype=np.uint8)
-            buf[: len(packed)] = packed
-            w0 = (seg_lo - base) >> 6
-            words[w0 : w0 + len(buf) // 8] = buf.view("<u8")
-        return cls(base, limit, words)
 
     # -- persistence ----------------------------------------------------
     # file layout: magic "PKT1", base and limit as 8-byte LE, then words
@@ -157,14 +143,19 @@ class PrimalityTable:
         """All primes in [lo, hi] as an int64 array."""
         lo = self.base if lo is None else lo
         hi = self.limit if hi is None else hi
-        if hi < lo:
-            return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(self.bools(lo, hi)).astype(np.int64) + lo
+        return np.flatnonzero(self.bools(lo, hi)) + lo
 
 
-def sieve_range(base, limit, segment_bits=DEFAULT_SEGMENT_BITS):
-    """Sieve [base, limit] into a packed PrimalityTable."""
-    return PrimalityTable.sieve(base, limit, segment_bits)
+def sieve_range(base, limit):
+    """Sieve [base, limit] into a packed PrimalityTable, by primes_upto's segmented pass."""
+    if base < 0 or limit < base:
+        raise ValueError(f"invalid range [{base}, {limit}]")
+    words = np.zeros((limit - base + 64) // 64, dtype="<u8")
+    for seg_lo, seg in _segments(base, limit):
+        packed = np.packbits(seg, bitorder="little")
+        i = (seg_lo - base) >> 3  # segments start on a word, so on a byte of the words
+        words.view(np.uint8)[i : i + len(packed)] = packed
+    return PrimalityTable(base, limit, words)
 
 
 @dataclass(frozen=True)

@@ -244,9 +244,11 @@ def test_hl_sweep_validation(table_1e6):
     assert hl_sweep(Tuple.parse("0,2"), [], table_1e6) == []
 
 
-def test_hl_independent_of_segment_size():
-    a = hl_error(Tuple.parse("0,2,6"), 10 ** 4, sieve_range(0, 2 * 10 ** 4, segment_bits=1 << 14))
-    b = hl_error(Tuple.parse("0,2,6"), 10 ** 4, sieve_range(0, 2 * 10 ** 4, segment_bits=1 << 20))
+def test_hl_independent_of_segment_size(monkeypatch):
+    monkeypatch.setattr(primes, "_SEGMENT", 1 << 14)
+    a = hl_error(Tuple.parse("0,2,6"), 10 ** 4, sieve_range(0, 2 * 10 ** 4))
+    monkeypatch.setattr(primes, "_SEGMENT", 1 << 20)
+    b = hl_error(Tuple.parse("0,2,6"), 10 ** 4, sieve_range(0, 2 * 10 ** 4))
     assert a == b
 
 

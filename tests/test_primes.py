@@ -39,6 +39,7 @@ def _odd_wheel_sieve(limit):
 def test_small_primes():
     t = sieve_range(0, 30)
     assert t.primes().tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert t.primes().dtype == np.int64
     assert not t.is_prime(0)
     assert not t.is_prime(1)
     assert t.is_prime(2)
@@ -73,10 +74,49 @@ def test_offset_base_table():
         t.is_prime(999999)
 
 
-def test_segment_size_invariance():
-    a = sieve_range(0, 10 ** 6 + 17, segment_bits=1 << 14)
-    b = sieve_range(0, 10 ** 6 + 17, segment_bits=1 << 21)
+def test_segment_size_invariance(monkeypatch):
+    monkeypatch.setattr(primes, "_SEGMENT", 1 << 14)
+    a = sieve_range(0, 10 ** 6 + 17)
+    monkeypatch.setattr(primes, "_SEGMENT", 1 << 21)
+    b = sieve_range(0, 10 ** 6 + 17)
     assert np.array_equal(a.words, b.words)
+
+
+def _empty_prime_cache(monkeypatch):
+    # monkeypatch puts the shared cache back at teardown
+    monkeypatch.setattr(primes, "_primes", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(primes, "_cap", 1)
+
+
+def test_primes_upto_bootstrap_and_segment_edges(monkeypatch):
+    monkeypatch.setattr(primes, "_SEGMENT", 64)
+    trial = [n for n in range(600) if _trial_is_prime(n)]
+    for n in range(600):
+        _empty_prime_cache(monkeypatch)
+        assert primes.primes_upto(n).tolist() == [p for p in trial if p <= n], n
+    # one growth from a non-empty cache: (100, 300] crosses segment edges at 165, 229, 293
+    _empty_prime_cache(monkeypatch)
+    primes.primes_upto(100)
+    assert primes._cap == 100
+    assert primes.primes_upto(300).tolist() == [p for p in trial if p <= 300]
+    assert primes._cap == 300
+
+
+def test_primes_upto_pi_values():
+    assert len(primes.primes_upto(10 ** 6)) == 78498
+    assert len(primes.primes_upto(10 ** 7)) == 664579
+
+
+def test_primes_upto_memory_bounded(monkeypatch):
+    # segments of flags are freed as they go; the peak is the output and its concatenation
+    _empty_prime_cache(monkeypatch)
+    tracemalloc.start()
+    try:
+        out = primes.primes_upto(10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes, peak / out.nbytes
 
 
 def test_count_matches_enumeration(table_1e6):
