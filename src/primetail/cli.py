@@ -41,9 +41,10 @@ def _cell(v):
     return str(v)
 
 
-def _emit(fmt, config, columns, rows):
+def _emit(args, config, columns, rows):
+    config = {"subcommand": args.subcommand, "format": args.format, **config}
     out = sys.stdout
-    if fmt == "json":
+    if args.format == "json":
         out.write(_jdump(config) + "\n")
         for r in rows:
             out.write(_jdump(r) + "\n")
@@ -100,13 +101,8 @@ def _cmd_singular(args):
     }
     if args.jensen:
         rec["jensen_bound"] = jensen_split_bound(H) if H.k >= 2 else 1.0
-    config = {
-        "subcommand": "singular",
-        "format": args.format,
-        "tuple": str(H),
-        "error": args.error,
-    }
-    _emit(args.format, config, list(rec), [rec])
+    config = {"tuple": str(H), "error": args.error}
+    _emit(args, config, list(rec), [rec])
     return 0
 
 
@@ -117,8 +113,6 @@ def _cmd_tkh(args):
         fits = k <= h and math.comb(h, k) * math.factorial(k) <= DEFAULT_BUDGET
         mode = "exact" if fits else "mc"
     config = {
-        "subcommand": "tkh",
-        "format": args.format,
         "threads": args.threads,
         "k": k,
         "h": h,
@@ -138,7 +132,7 @@ def _cmd_tkh(args):
            "samples": samples, "seed": seed, "normalized": scale * mean / float(h) ** k}
     if mode == "mc":
         rec |= {"tkh_estimate": scale * mean, "workers": est.workers}
-    _emit(args.format, config, list(rec), [rec])
+    _emit(args, config, list(rec), [rec])
     return 0
 
 
@@ -150,27 +144,15 @@ def _cmd_window(args):
         raise ValueError(f"need --{args.last.replace('_', '-')} >= {first}")
     table = _load_table(args, args.x + math.ceil(h))
     hist = window_counts(table, args.x, h)
-    config = {
-        "subcommand": args.subcommand,
-        "format": args.format,
-        "x": args.x,
-        "h": h,
-        args.last: last,
-    }
+    config = {"x": args.x, "h": h, args.last: last}
     rows = [_row(args.report(hist, i)) for i in range(first, last + 1)]
-    _emit(args.format, config, list(rows[0]), rows)
+    _emit(args, config, list(rows[0]), rows)
     return 0
 
 
 def _cmd_hl(args):
     H = Tuple.parse(args.tuple)
-    config = {
-        "subcommand": "hl",
-        "format": args.format,
-        "tuple": str(H),
-        "x": args.x,
-        "sweep": args.sweep,
-    }
+    config = {"tuple": str(H), "x": args.x, "sweep": args.sweep}
     xs = [args.x]
     if args.sweep:
         parts = [int(v) for v in args.sweep.split(":")]
@@ -180,7 +162,7 @@ def _cmd_hl(args):
     table = _load_table(args, xs[-1] + H.offsets[-1] + 1)
     rows = [_row(r) for r in hl_sweep(H, xs, table)]
     columns = ["x", "hits", "prediction", "abs_error", "normalized", "normalized_alt"]
-    _emit(args.format, config, columns, rows)
+    _emit(args, config, columns, rows)
     return 0
 
 
@@ -191,8 +173,6 @@ def _cmd_selberg(args):
     table = _load_table(args, args.x + H.offsets[-1] + 1)
     rep = sieve_report(H, args.x, z=args.z, epsilon=args.epsilon, table=table)
     config = {
-        "subcommand": "selberg",
-        "format": args.format,
         "tuple": str(H),
         "x": args.x,
         "z": rep.z,
@@ -205,7 +185,7 @@ def _cmd_selberg(args):
         columns = columns + ["gamma_ratio"]
         for z in (int(v) for v in args.gamma_table.split(",")):
             rows.append({"tuple": str(H), "z": z, "gamma_ratio": gamma_cross_check(H, z)})
-    _emit(args.format, config, columns, rows)
+    _emit(args, config, columns, rows)
     return 0
 
 
@@ -214,14 +194,9 @@ def _cmd_sieve_cache(args):
         raise ValueError("need --limit >= 2")
     table = sieve_range(0, args.limit)
     table.save(args.out)
-    config = {
-        "subcommand": "sieve-cache",
-        "format": args.format,
-        "limit": args.limit,
-        "out": args.out,
-    }
+    config = {"limit": args.limit, "out": args.out}
     rec = {"limit": args.limit, "out": args.out, "primes": table.count()}
-    _emit(args.format, config, list(rec), [rec])
+    _emit(args, config, list(rec), [rec])
     return 0
 
 

@@ -8,6 +8,8 @@ past the unpack, a chunk of window counts costs O(primes in it), not O(chunk).
 Every list of small primes in the package (sieving primes, factoring, local
 factors, sieve weights) comes from the one growing cache primes_upto. One
 segmented Eratosthenes pass, _segments, grows that cache and fills the tables.
+It sieves odd n only: sieve_range spreads its flags onto every other bit and
+adds 2, and PrimalityTable.primes reads back only those bits.
 """
 
 import math
@@ -19,27 +21,32 @@ import numpy as np
 from .errors import CoverageError
 
 _MAGIC = b"PKT1"
-_SEGMENT = 1 << 20  # flags per sieve segment; must stay a multiple of 64: sieve_range packs whole words
-_CHUNK = 1 << 22
+_SEGMENT = 1 << 20  # odd-n flags per sieve segment; a multiple of 8, so each packs into whole bytes
+_CHUNK = 1 << 20  # n per block of the streaming passes; below 2^30 so window keys fit int32
 _PRIME_BUDGET = 10 ** 8  # allk_bound and jensen_split_bound sieve the primes up to k^3
 
 
-_primes, _cap = np.zeros(0, dtype=np.int64), 1  # no primes <= 1, so growth bottoms out
+_primes, _cap = np.array([2], dtype=np.int64), 2  # the one even prime: _segments sieves odd n
+
+# Odd n sit on bits r, r + 2, r + 4, r + 6 of each byte of a table, r = (base + 1) % 2. As byte
+# strings viewed whole (so host byte order never enters), _SPREAD[r][b] is the 2 bytes carrying
+# the 8 flags of a packed byte b, _GATHER[r][b] the 4 odd-n flags of a byte b as 4 bools.
+_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+_SPREAD = [np.packbits(np.dstack(pair).reshape(256, 16), axis=1, bitorder="little").view(np.uint16).ravel()
+           for pair in ((_BITS, 0 * _BITS), (0 * _BITS, _BITS))]
+_GATHER = [np.ascontiguousarray(_BITS[:, r::2]).view(np.uint32).ravel() for r in (0, 1)]
 
 
 def _segments(lo, hi):
-    """Yield (seg_lo, primality flags) over [lo, hi], _SEGMENT flags at a time."""
-    base_primes = primes_upto(math.isqrt(hi)).tolist()
-    for seg_lo in range(lo, hi + 1, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT - 1, hi)
-        seg = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        if seg_lo < 2:
-            seg[: 2 - seg_lo] = False
-        for p in base_primes:
-            start = max(p * p, (seg_lo + p - 1) // p * p)
-            if start > seg_hi:
-                continue
-            seg[start - seg_lo :: p] = False
+    """Yield (even seg_lo, flags), flag i for the odd n = seg_lo + 2i + 1 in [lo, hi]."""
+    odd_primes = primes_upto(math.isqrt(hi))[1:].tolist()
+    for seg_lo in range(lo & ~1, hi + 1, 2 * _SEGMENT):
+        seg = np.ones((min(seg_lo + 2 * _SEGMENT - 1, hi) - seg_lo + 1) // 2, dtype=bool)
+        if seg_lo == 0:
+            seg[:1] = False  # 1 is not prime
+        for p in odd_primes:
+            start = max(p * p, ((seg_lo + p) // p | 1) * p)  # the first odd multiple past seg_lo
+            seg[(start - seg_lo) >> 1 :: p] = False
         yield seg_lo, seg
 
 
@@ -53,7 +60,7 @@ def primes_upto(n):
     if n > _cap:
         top = max(n, 2 * _cap)
         primes_upto(math.isqrt(top))  # the sieving primes first: this may grow _cap
-        found = [np.flatnonzero(seg) + seg_lo for seg_lo, seg in _segments(_cap + 1, top)]
+        found = [np.flatnonzero(seg) * 2 + (seg_lo + 1) for seg_lo, seg in _segments(_cap + 1, top)]
         _primes, _cap = np.concatenate([_primes, *found]), top
     return _primes[: np.searchsorted(_primes, n, side="right")]
 
@@ -83,21 +90,22 @@ class PrimalityTable:
         with open(path, "wb") as f:
             f.write(_MAGIC)
             f.write(struct.pack("<QQ", self.base, self.limit))
-            f.write(self.words.tobytes())
+            f.write(self.words.data)
 
     @classmethod
     def load(cls, path):
         with open(path, "rb") as f:
-            data = f.read()
-        if data[:4] != _MAGIC:
-            raise ValueError(f"not a primality table file (magic {data[:4]!r})")
-        want = 20
-        if len(data) >= want:
-            base, limit = struct.unpack_from("<QQ", data, 4)
-            want += 8 * ((max(limit - base + 1, 0) + 63) // 64)
-        if len(data) != want:
-            raise ValueError(f"table file {path} is {len(data)} bytes, expected {want}")
-        return cls(base, limit, np.frombuffer(data, dtype="<u8", offset=20).copy())
+            head = f.read(20)
+            if head[:4] != _MAGIC:
+                raise ValueError(f"not a primality table file (magic {head[:4]!r})")
+            size, want = f.seek(0, 2), 20
+            if len(head) == want:
+                base, limit = struct.unpack_from("<QQ", head, 4)
+                want += 8 * ((max(limit - base + 1, 0) + 63) // 64)
+            if size != want:
+                raise ValueError(f"table file {path} is {size} bytes, expected {want}")
+            f.seek(20)
+            return cls(base, limit, np.fromfile(f, dtype="<u8"))
 
     # -- queries ----------------------------------------------------------
 
@@ -115,13 +123,9 @@ class PrimalityTable:
         if hi < lo:
             return np.zeros(0, dtype=bool)
         self.require_cover(lo, hi)
-        i0 = lo - self.base
-        i1 = hi - self.base
-        w0, w1 = i0 >> 6, i1 >> 6
-        raw = self.words[w0 : w1 + 1].view(np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")
-        off = i0 - (w0 << 6)
-        return bits[off : off + (i1 - i0 + 1)].view(np.bool_)
+        i0, i1 = lo - self.base, hi - self.base
+        bits = np.unpackbits(self.words.view(np.uint8)[i0 >> 3 : (i1 >> 3) + 1], bitorder="little")
+        return bits[i0 & 7 : (i0 & 7) + i1 - i0 + 1].view(np.bool_)
 
     def count(self, lo=None, hi=None):
         """Number of primes in [lo, hi], popcounted off the packed words."""
@@ -130,20 +134,25 @@ class PrimalityTable:
         if hi < lo:
             return 0
         self.require_cover(lo, hi)
-        i0 = lo - self.base
-        i1 = hi - self.base
-        w0, w1 = i0 >> 6, i1 >> 6
-        ws = self.words[w0 : w1 + 1].astype(np.uint64)
-        ws[0] &= np.uint64(~((1 << (i0 & 63)) - 1) & 0xFFFFFFFFFFFFFFFF)
-        if (i1 & 63) != 63:
-            ws[-1] &= np.uint64((1 << ((i1 & 63) + 1)) - 1)
-        return int(np.bitwise_count(ws).sum())
+        i0, i1 = lo - self.base, hi - self.base
+        ws = self.words[i0 >> 6 : (i1 >> 6) + 1]
+        below = int(ws[0]) & ((1 << (i0 & 63)) - 1)
+        above = int(ws[-1]) >> ((i1 & 63) + 1)
+        return int(np.bitwise_count(ws).sum()) - below.bit_count() - above.bit_count()
 
     def primes(self, lo=None, hi=None):
-        """All primes in [lo, hi] as an int64 array."""
+        """All primes in [lo, hi] as an int64 array: 2, then the odd n's set bits."""
         lo = self.base if lo is None else lo
         hi = self.limit if hi is None else hi
-        return np.flatnonzero(self.bools(lo, hi)) + lo
+        if hi < lo:
+            return np.zeros(0, dtype=np.int64)
+        self.require_cover(lo, hi)
+        b0, b1, r = (lo - self.base) >> 3, (hi - self.base) >> 3, (self.base + 1) % 2
+        first = self.base + 8 * b0 + r  # the first odd n in byte b0
+        flags = _GATHER[r].take(self.words.view(np.uint8)[b0 : b1 + 1]).view(np.bool_)
+        j0, j1 = (lo - first + 1) >> 1, (hi - first) >> 1  # flag j stands for first + 2j
+        odd = np.flatnonzero(flags[j0 : j1 + 1]) * 2 + (first + 2 * j0)
+        return np.concatenate(([2], odd)) if lo <= 2 <= hi else odd
 
 
 def sieve_range(base, limit):
@@ -151,10 +160,13 @@ def sieve_range(base, limit):
     if base < 0 or limit < base:
         raise ValueError(f"invalid range [{base}, {limit}]")
     words = np.zeros((limit - base + 64) // 64, dtype="<u8")
+    raw, spread = words.view(np.uint8), _SPREAD[(base + 1) % 2]
     for seg_lo, seg in _segments(base, limit):
-        packed = np.packbits(seg, bitorder="little")
-        i = (seg_lo - base) >> 3  # segments start on a word, so on a byte of the words
-        words.view(np.uint8)[i : i + len(packed)] = packed
+        i = (seg_lo + 1 - base) >> 3  # seg_lo + 1 - base is 8i + r: flag 0 lands on bit r of byte i
+        bits = spread.take(np.packbits(seg, bitorder="little")).view(np.uint8)[: len(raw) - i]
+        raw[i : i + len(bits)] = bits
+    if base <= 2 <= limit:
+        raw[(2 - base) >> 3] |= 1 << ((2 - base) & 7)
     return PrimalityTable(base, limit, words)
 
 
@@ -185,15 +197,18 @@ def window_counts(table, x, h):
     acc = np.zeros(m + 2, dtype=np.int64)
     for a in range(1, x + 1, _CHUNK):
         b = min(a + _CHUNK - 1, x)
-        ps = table.primes(a + 1, b + m)
-        # both event runs are sorted, so the stable sort is one merge; key 2n puts
-        # a rise before a fall at n, so c never dips below 0 (m = 0 ties every event)
-        keys = np.sort(np.concatenate((np.maximum(ps - m, a) * 2, ps * 2 + 1)), kind="stable")
-        runs = np.diff(np.minimum(np.concatenate(([a], keys >> 1, [b + 1])), b + 1))
+        ps = table.primes(a + 1, b + m) - a
+        # block-local keys: 2n for a rise at n = max(p - m, 0), 2n + 1 for a fall at
+        # n = min(p, b + 1 - a), all below 2 (_CHUNK + 1), so int32. Both runs are
+        # sorted, so the stable sort is one merge; a rise sorts before a fall at the
+        # same n, so c never dips below 0 (m = 0 ties every event)
+        keys = np.concatenate((np.maximum(ps - m, 0) * 2, np.minimum(ps, b + 1 - a) * 2 + 1)).astype(np.int32)
+        keys.sort(kind="stable")
+        runs = np.diff(keys >> 1, prepend=0, append=b + 1 - a)
         c = np.concatenate(([0], np.cumsum(1 - 2 * (keys & 1))))
         # float weights add exactly: a block holds at most _CHUNK <= 2^53 windows
         acc += np.bincount(c, weights=runs, minlength=m + 2).astype(np.int64)
-        del ps, keys, runs, c  # the next block starts from nothing, so memory stays one block
+        # no del: freeing a whole block at once lets malloc trim the heap the next block refaults
     counts = {int(c): int(n) for c, n in enumerate(acc) if n}
     return WindowHistogram(x, float(h), counts)
 
@@ -241,16 +256,16 @@ def tuple_counts(table, offsets, xs):
         n = min(_CHUNK, top - a + 1)
         lo, hi = a + offs[0], a + n - 1 + offs[-1]
         flags = table.bools(lo, hi)
-        either = flags.copy()
-        either[[q - lo for q in powers if lo <= q <= hi]] = True
-        acc = either[:n].copy()
+        pp = [q - lo for q in powers if lo <= q <= hi]
+        flags[pp] = True  # now prime or prime power; a survivor is prime unless in pp
+        acc = flags[:n].copy()
         for d in (t - offs[0] for t in offs[1:]):
-            acc &= either[d : d + n]
+            acc &= flags[d : d + n]
         at = np.flatnonzero(acc)
         hit, prod = np.ones(len(at), dtype=bool), np.ones(len(at))
         for t in offs:
             m = at + (a + t)
-            prime = flags[m - lo]
+            prime = ~np.isin(m - lo, pp)
             lam = np.log(m)
             lam[~prime] = [powers[q] for q in m[~prime].tolist()]
             hit &= prime
@@ -259,8 +274,9 @@ def tuple_counts(table, offsets, xs):
         hit_sums = np.cumsum(np.concatenate((hit_sums[-1:], hit)))
         lam_sums = np.cumsum(np.concatenate((lam_sums[-1:], prod)))
         yield from zip(hit_sums[ends].tolist(), lam_sums[ends].tolist())
-        # free this block before the next is built, so memory stays one block
-        del flags, either, acc
+        # flags lives on until the next block's replace it: memory stays one block, and
+        # freeing it here too would let malloc trim the heap the next block refaults
+        del acc
 
 
 def count_tuple_hits(table, offsets, x):

@@ -95,8 +95,9 @@ class SingularSeriesValue:
 def _prime_factors(ds):
     """The distinct prime factors of each d >= 1 in ds, ascending, as lists.
 
-    Divides the whole array by one prime at a time up to isqrt(max d);
-    whatever is left above 1 afterwards is a prime above all of those.
+    Tests the whole array against blocks of primes, up to 2^16 remainders a
+    pass, until p^2 passes the largest cofactor left; whatever is left above 1
+    then is a prime above all of those.
     """
     rest = np.array(ds, dtype=np.int64).reshape(-1)
     if len(rest) and rest.min() < 1:
@@ -105,22 +106,29 @@ def _prime_factors(ds):
     top = int(rest.max(initial=1))
     if math.isqrt(top) > 10 ** 7:
         raise ResourceError(f"factoring {top} would sieve primes up to {math.isqrt(top)} (limit 10^7)")
-    for p in primes_upto(math.isqrt(top)).tolist():
-        idx = np.flatnonzero(rest % p == 0)
-        if len(idx):
-            for i in idx.tolist():
-                out[i].append(p)
-            pe = p  # the largest power of p <= top holds the whole p-part of every d
-            while pe * p <= top:
-                pe *= p
-            rest[idx] //= np.gcd(rest[idx], pe)
+    ps = primes_upto(math.isqrt(top))
+    step = max(1, (1 << 16) // max(len(rest), 1))
+    for i in range(0, len(ps), step):
+        if int(ps[i]) ** 2 > top:
+            break
+        block = ps[i : i + step]
+        rows, cols = np.nonzero(rest[:, None] % block == 0)  # row-major: each row's primes ascend
+        if len(rows):
+            hit = block[cols]
+            for r, p in zip(rows.tolist(), hit.tolist()):
+                out[r].append(p)
+            while (more := rest[rows] % hit == 0).any():  # divide out each hit's p-part
+                rows, hit = rows[more], hit[more]
+                np.floor_divide.at(rest, rows, hit)
+            top = int(rest.max())
     for i in np.flatnonzero(rest > 1).tolist():
         out[i].append(int(rest[i]))
     return out
 
 
-def _is_prime_int(p):
-    return p >= 2 and _prime_factors([p])[0] == [p]
+def _require_prime(p):
+    if p < 2 or _prime_factors([p])[0] != [p]:
+        raise ValueError(f"{p} is not prime")
 
 
 # -- generic tail per exponent k ---------------------------------------
@@ -148,9 +156,8 @@ def _zeta_tail_log(k, boundary):
     return float(acc), rem + 1e-28
 
 
-def _log_f(k, P):
-    """log f_k(p) = log((1 - k/p) / (1 - 1/p)^k) at each prime k < p <= P."""
-    ps = primes_upto(P)
+def _log_f(k, ps):
+    """log f_k(p) = log((1 - k/p) / (1 - 1/p)^k) at each prime p > k in ps."""
     pf = ps[np.searchsorted(ps, k, side="right") :].astype(np.float64)
     return np.log1p(-float(k) / pf) - k * np.log1p(-1.0 / pf)
 
@@ -164,7 +171,7 @@ def _kdata(k):
     cache has grown.
     """
     boundary = max(1000, 4 * k * k)
-    logf = _log_f(k, boundary)
+    logf = _log_f(k, primes_upto(boundary))
     head = float(np.cumsum(logf)[-1])
     head_abs = float(np.abs(logf).sum())
     ztail, zbound = _zeta_tail_log(k, boundary)
@@ -176,8 +183,7 @@ def _kdata(k):
 
 def residue_classes(H, p):
     """nu_H(p): number of distinct residues of the offsets modulo p."""
-    if not _is_prime_int(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     return int(_nu_rows(_anchored(as_tuple(H)), p))
 
 
@@ -187,8 +193,7 @@ def local_factor(p, nu, k):
     Evaluated as the integer ratio (p-nu) p^(k-1) / (p-1)^k, which Python
     rounds correctly, so the result is the nearest float to the true value.
     """
-    if not _is_prime_int(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if not 1 <= nu <= min(k, p):
         raise ValueError(f"need 1 <= nu <= min(k, p); got nu={nu}, p={p}, k={k}")
     if nu == p:
@@ -312,8 +317,12 @@ def jensen_split_bound(H):
     kc = k ** 3
     if kc > _PRIME_BUDGET:
         raise ResourceError(f"k^3 = {kc} exceeds prime budget {_PRIME_BUDGET}")
-    log_head = -k * float(np.log1p(-1.0 / primes_upto(kc)).sum())
-    log_tail = _kdata(k)[0] - float(np.cumsum(_log_f(k, kc))[-1])
+    # slices of 2^16 primes keep memory near the prime array; the tail's cumsum carries on exactly
+    ps, head, tail = primes_upto(kc), 0.0, 0.0
+    for i in range(0, len(ps), 1 << 16):
+        head += float(np.log1p(-1.0 / ps[i : i + (1 << 16)]).sum())
+        tail = float(np.cumsum(np.concatenate(([tail], _log_f(k, ps[i : i + (1 << 16)]))))[-1])
+    log_head, log_tail = -k * head, _kdata(k)[0] - tail
     cc = k * (k - 1) // 2
     acc = 0.0
     for f in _prime_factors(H.pairwise_diffs()):

@@ -245,7 +245,7 @@ def test_hl_sweep_validation(table_1e6):
 
 
 def test_hl_independent_of_segment_size(monkeypatch):
-    monkeypatch.setattr(primes, "_SEGMENT", 1 << 14)
+    monkeypatch.setattr(primes, "_SEGMENT", 1 << 12)  # 2^13 integers: three segments
     a = hl_error(Tuple.parse("0,2,6"), 10 ** 4, sieve_range(0, 2 * 10 ** 4))
     monkeypatch.setattr(primes, "_SEGMENT", 1 << 20)
     b = hl_error(Tuple.parse("0,2,6"), 10 ** 4, sieve_range(0, 2 * 10 ** 4))

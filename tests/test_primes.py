@@ -82,19 +82,55 @@ def test_segment_size_invariance(monkeypatch):
     assert np.array_equal(a.words, b.words)
 
 
+@pytest.mark.parametrize("base", [0, 1, 2, 3, 5, 63, 64, 65, 127, 129, 1000, 1001, 10 ** 6 + 3])
+def test_sieve_range_odd_and_unaligned_bases(monkeypatch, base):
+    # 32 odd flags a segment span 64 integers, so 700 integers cross at least 10
+    # segment edges; every word, padding bits past limit included, must match
+    # the bits packed from trial division
+    monkeypatch.setattr(primes, "_SEGMENT", 32)
+    limit = base + 700
+    t = sieve_range(base, limit)
+    flags = np.array([_trial_is_prime(n) for n in range(base, limit + 1)])
+    want = np.zeros(len(t.words) * 64, dtype=bool)
+    want[: len(flags)] = flags
+    assert np.array_equal(t.words, np.packbits(want, bitorder="little").view("<u8"))
+    assert t.primes().tolist() == [n for n in range(base, limit + 1) if flags[n - base]]
+
+
+def test_sieve_range_odd_base_matches_base_zero(monkeypatch):
+    monkeypatch.setattr(primes, "_SEGMENT", 1 << 12)  # dozens of segments
+    limit = 3 * 10 ** 5 + 17
+    ref = _odd_wheel_sieve(limit)
+    for base in (1, 3, 77, 10 ** 5 + 1):
+        got = sieve_range(base, limit).bools(base, limit)
+        assert np.array_equal(got, np.frombuffer(bytes(ref[base:]), dtype=np.uint8).astype(bool)), base
+
+
+@pytest.mark.parametrize("base", [0, 1, 2, 7])
+def test_primes_every_parity_of_lo_and_hi(base):
+    t = sieve_range(base, base + 90)
+    trial = [n for n in range(base, base + 91) if _trial_is_prime(n)]
+    for lo in range(base, base + 20):
+        for hi in range(lo - 2, base + 91):  # hi < lo, both parities, lo <= 2 <= hi
+            got = t.primes(lo, hi)
+            assert got.dtype == np.int64
+            assert got.tolist() == [p for p in trial if lo <= p <= hi], (lo, hi)
+
+
 def _empty_prime_cache(monkeypatch):
-    # monkeypatch puts the shared cache back at teardown
-    monkeypatch.setattr(primes, "_primes", np.zeros(0, dtype=np.int64))
-    monkeypatch.setattr(primes, "_cap", 1)
+    # the cache as at import, holding only the even prime; monkeypatch puts the
+    # shared cache back at teardown
+    monkeypatch.setattr(primes, "_primes", np.array([2], dtype=np.int64))
+    monkeypatch.setattr(primes, "_cap", 2)
 
 
 def test_primes_upto_bootstrap_and_segment_edges(monkeypatch):
-    monkeypatch.setattr(primes, "_SEGMENT", 64)
+    monkeypatch.setattr(primes, "_SEGMENT", 32)  # 32 odd flags span 64 integers
     trial = [n for n in range(600) if _trial_is_prime(n)]
     for n in range(600):
         _empty_prime_cache(monkeypatch)
         assert primes.primes_upto(n).tolist() == [p for p in trial if p <= n], n
-    # one growth from a non-empty cache: (100, 300] crosses segment edges at 165, 229, 293
+    # one growth from a non-empty cache: (100, 300] crosses segment edges at 164, 228, 292
     _empty_prime_cache(monkeypatch)
     primes.primes_upto(100)
     assert primes._cap == 100
@@ -160,6 +196,19 @@ def test_save_load_roundtrip(tmp_path):
     word = struct.unpack_from("<Q", raw, 20 + 8 * w)[0]
     assert (word >> j) & 1 == 1
     assert u.is_prime(1009)
+
+
+def test_load_memory_within_table_bytes(tmp_path, table_1e7):
+    path = tmp_path / "t.pkt"
+    table_1e7.save(path)
+    tracemalloc.start()
+    try:
+        u = PrimalityTable.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(u.words, table_1e7.words)
+    assert peak <= 1.1 * u.words.nbytes, peak / u.words.nbytes
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -241,7 +290,7 @@ def test_window_counts_large_x_moments(table_1e7):
     assert sum(c * (c - 1) * n for c, n in counts.items()) == second
 
 
-@pytest.mark.parametrize("chunk, blocks", [(primes._CHUNK, 2), (1 << 20, 8)])
+@pytest.mark.parametrize("chunk, blocks", [(primes._CHUNK, 2), (1 << 18, 8)])
 def test_window_counts_memory_bounded_by_chunk(table_1e7, monkeypatch, chunk, blocks):
     # eight small blocks expose a per-block leak that two default ones would hide
     monkeypatch.setattr(primes, "_CHUNK", chunk)
@@ -256,6 +305,14 @@ def test_window_counts_memory_bounded_by_chunk(table_1e7, monkeypatch, chunk, bl
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("chunk", [977, primes._CHUNK])
+def test_window_counts_base_one_matches_base_zero(monkeypatch, chunk):
+    monkeypatch.setattr(primes, "_CHUNK", chunk)
+    t0, t1 = sieve_range(0, 30000), sieve_range(1, 30000)
+    for x, h in ((1, 1), (977, 2.5), (20000, 13.2), (29000, 1000.0)):
+        assert window_counts(t1, x, h) == window_counts(t0, x, h), (x, h)
 
 
 def test_window_counts_validation(table_1e6):

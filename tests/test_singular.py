@@ -7,6 +7,7 @@ separately and pinned here with tolerances covering that run's own error.
 
 import functools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -110,6 +111,20 @@ def _trial_division_primes(d):
 @given(st.lists(st.integers(1, 10 ** 7), max_size=40))
 def test_prime_factors_match_trial_division(ds):
     assert _prime_factors(np.array(ds, dtype=np.int64)) == [_trial_division_primes(d) for d in ds]
+
+
+def test_prime_factors_seeded_batch_with_large_semiprimes():
+    rng = np.random.default_rng(2024)
+    ps = primes_upto(10 ** 6)
+    big = ps[np.searchsorted(ps, 10 ** 5) :]
+    semis = [int(p) * int(q) for p, q in rng.choice(big, size=(6, 2))]
+    ds = [*rng.integers(1, 10 ** 9, 30).tolist(), *semis, 2 ** 40 - 87, 997 ** 2 * 1009]
+    rng.shuffle(ds)
+    assert _prime_factors(ds) == [_trial_division_primes(d) for d in ds]
+    # past 2^16 numbers every pass tests one prime at a time
+    many = rng.integers(1, 2000, (1 << 16) + 5)
+    want = {d: _trial_division_primes(d) for d in set(many.tolist())}
+    assert _prime_factors(many) == [want[d] for d in many.tolist()]
 
 
 def test_prime_factors_fixed_cases():
@@ -362,6 +377,19 @@ def test_jensen_refuses_past_prime_budget():
     # k = 465 would sieve the primes up to k^3 = 1.005e8
     with pytest.raises(ResourceError, match="prime budget"):
         jensen_split_bound(Tuple(tuple(range(0, 930, 2))))
+
+
+def test_jensen_memory_near_prime_array():
+    # the head and tail sums run over slices of 2^16 primes, not whole-length float arrays
+    H = Tuple(tuple(range(0, 300, 2)))  # k = 150: 241,867 primes up to k^3
+    jensen_split_bound(H)  # grow the prime cache and the per-k tail outside the measurement
+    tracemalloc.start()
+    try:
+        jensen_split_bound(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * primes_upto(150 ** 3).nbytes, peak / primes_upto(150 ** 3).nbytes
 
 
 def test_jensen_needs_pairs():
