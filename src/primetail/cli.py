@@ -19,7 +19,7 @@ from .errors import ResourceError
 from .hl import hl_sweep
 from .moments import moment_report, tail_report
 from .primes import PrimalityTable, sieve_range, window_counts
-from .selberg import gamma_cross_check, sieve_report
+from .selberg import _require_budget, gamma_cross_check, sieve_report
 from .singular import Tuple, is_admissible, jensen_split_bound, singular_series
 
 
@@ -170,6 +170,9 @@ def _cmd_selberg(args):
     H = Tuple.parse(args.tuple)
     if (args.z is None) == (args.epsilon is None):
         raise ValueError("give exactly one of --z and --epsilon")
+    gamma_zs = [int(v) for v in args.gamma_table.split(",")] if args.gamma_table else []
+    for z in filter(None, [args.z, *gamma_zs]):
+        _require_budget(z)  # before the table is sieved or loaded
     table = _load_table(args, args.x + H.offsets[-1] + 1)
     rep = sieve_report(H, args.x, z=args.z, epsilon=args.epsilon, table=table)
     config = {
@@ -181,9 +184,9 @@ def _cmd_selberg(args):
     rec = _row(rep, drop=("epsilon",))
     rows = [rec]
     columns = list(rec)
-    if args.gamma_table:
+    if gamma_zs:
         columns = columns + ["gamma_ratio"]
-        for z in (int(v) for v in args.gamma_table.split(",")):
+        for z in gamma_zs:
             rows.append({"tuple": str(H), "z": z, "gamma_ratio": gamma_cross_check(H, z)})
     _emit(args, config, columns, rows)
     return 0

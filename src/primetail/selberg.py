@@ -1,10 +1,11 @@
 """Selberg sieve quantities for a tuple: G(z), W(z), and upper bounds.
 
 G(z) sums the multiplicative weight g(d) = prod_{p|d} nu(p)/(p - nu(p))
-over squarefree d < z by depth-first extension over ascending primes, so
-the z-pruning is a clean break. W(z) is the plain Mertens-style product.
-The raw Halberstam-Richert style bound and the (2+eps)^k k! S(H) x/log^k x
-theorem form are both reported, never asserted.
+over squarefree d < z with a block multiplicative sieve: each g(d) is the
+product of its prime weights in ascending order from 1.0, and memory is one
+block of d, not z. W(z) is the plain Mertens-style product. The raw
+Halberstam-Richert style bound and the (2+eps)^k k! S(H) x/log^k x theorem
+form are both reported, never asserted.
 """
 
 import logging
@@ -13,20 +14,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleModulusError
-from .primes import count_tuple_hits, primes_upto
+from .errors import InadmissibleModulusError, ResourceError
+from .primes import _PRIME_BUDGET, count_tuple_hits, primes_upto
 from .singular import as_tuple, singular_series, Tuple, _anchored, _nu_rows, _prime_factors
 
 log = logging.getLogger(__name__)
 
 # |D_H| enters only through log log(3 |D_H|); cap it in log space
 _LOG_DH_CAP = 700.0
+_G_BLOCK = 1 << 16  # d per block of the G(z) sieve
+_NU_SLICE = 1 << 16  # residues per slice of the nu table, whatever k is
+
+
+def _require_budget(z):
+    """Refuse a z whose primes below it would pass the prime budget."""
+    if z - 1 > _PRIME_BUDGET:
+        raise ResourceError(f"z = {z} needs the primes up to {z - 1}, over the budget {_PRIME_BUDGET}")
 
 
 def _nu_table(H, z):
-    """(primes p < z, nu_H(p)) as parallel arrays."""
+    """(primes p < z, nu_H(p)) as parallel arrays; nu is taken over slices of primes."""
+    _require_budget(z)
     ps = primes_upto(z - 1)
-    return ps, _nu_rows(_anchored(H)[:, None], ps, axis=0)
+    offs = _anchored(H)[:, None]
+    step = max(1, _NU_SLICE // len(offs))
+    nus = np.empty_like(ps)
+    for i in range(0, len(ps), step):
+        nus[i : i + step] = _nu_rows(offs, ps[i : i + step], axis=0)
+    return ps, nus
 
 
 def g_value(d, H):
@@ -53,8 +68,31 @@ def g_value(d, H):
     return out
 
 
+def _g_block(lo, hi, small):
+    """g(d) for lo <= d < hi over the (p, g(p)) in small, 0.0 unless those p multiply to d.
+
+    The weights go in by ascending p from 1.0; the integer product of the p
+    dividing d falls short of d exactly when d has a square factor or a prime
+    factor outside small.
+    """
+    g = np.ones(hi - lo)
+    prod = np.ones(hi - lo, dtype=np.int64)
+    for p, gp in small:
+        first = -lo % p
+        g[first::p] *= gp
+        prod[first::p] *= p
+    g *= prod == np.arange(lo, hi)
+    return g
+
+
 def big_G(z, H):
     """G(z) = sum over squarefree d < z of g(d).
+
+    A squarefree d < z has at most one prime factor above r = isqrt(z - 1).
+    Blocks of _G_BLOCK d take the d built from primes p <= r; each other d is
+    e q with a prime q > r and e <= r, and adds g(e) g(q), one vector per e.
+    Every term is its ascending product of prime weights from 1.0, and
+    math.fsum adds the block and vector sums.
 
     Primes with nu(p) = p carry no valid weight; they are skipped under a
     warning that counts them, which keeps G finite for inadmissible tuples.
@@ -66,35 +104,28 @@ def big_G(z, H):
     bad = nus == ps
     if bad.any():
         log.warning("big_G: skipping %d primes with nu(p) = p", np.count_nonzero(bad))
-    ps_l = ps[~bad].tolist()
-    gs = [int(n) / (int(p) - int(n)) for p, n in zip(ps_l, nus[~bad].tolist())]
-    total = 0.0
-
-    def extend(i0, prod, weight):
-        nonlocal total
-        total += weight
-        for i in range(i0, len(ps_l)):
-            nxt = prod * ps_l[i]
-            if nxt >= z:
-                break
-            extend(i + 1, nxt, weight * gs[i])
-
-    extend(0, 1, 1.0)
-    return total
+    gs = np.divide(nus, ps - nus, out=np.zeros(len(ps)), where=~bad)  # a skipped prime weighs 0.0
+    r = math.isqrt(z - 1)
+    n_small = int(np.searchsorted(ps, r, side="right"))
+    small = list(zip(ps[:n_small].tolist(), gs[:n_small].tolist()))
+    parts = [np.sum(_g_block(lo, min(lo + _G_BLOCK, z), small)) for lo in range(1, z, _G_BLOCK)]
+    qs, gq = ps[n_small:], gs[n_small:]
+    g_e = _g_block(1, r + 1, small)
+    for i in np.flatnonzero(g_e).tolist():  # e = i + 1
+        n = int(np.searchsorted(qs, (z - 1) // (i + 1), side="right"))
+        if n == 0:
+            break
+        parts.append(np.sum(g_e[i] * gq[:n]))
+    return math.fsum(parts)
 
 
 def big_W(z, H):
-    """W(z) = prod_{p < z} (1 - nu(p)/p); exactly 0.0 when some nu(p) = p."""
+    """W(z) = prod_{p < z} (1 - nu(p)/p), left to right; exactly 0.0 when some nu(p) = p."""
     if z < 2:
         raise ValueError("need z >= 2")
     H = as_tuple(H)
     ps, nus = _nu_table(H, z)
-    if np.any(nus == ps):
-        return 0.0
-    out = 1.0
-    for p, nu in zip(ps.tolist(), nus.tolist()):
-        out *= (p - nu) / p
-    return out
+    return math.prod(((ps - nus) / ps).tolist(), start=1.0)
 
 
 def sieve_upper_bound(H, x, z):

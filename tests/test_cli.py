@@ -205,6 +205,41 @@ def test_selberg_gamma_table(capsys):
     assert rows[1]["gamma_ratio"] > 0
 
 
+SELBERG_GAMMA_STDOUT = """\
+{"subcommand":"selberg","format":"json","tuple":"0,2,6","x":100000,"z":240,"epsilon":null}
+{"tuple":"0,2,6","x":100000,"z":240,"G_z":47.7495113875,"W_z":0.00296578898271,\
+"raw_bound":2.20801358568e+12,"theorem_bound":10407.635032,"actual":259,\
+"ratio_actual_over_bound":0.024885576714,"alpha1":4,"L_estimate":4.81014682178,\
+"correction_term":2.98314785551}
+{"tuple":"0,2,6","z":1000,"gamma_ratio":0.259282627283}
+{"tuple":"0,2,6","z":10000,"gamma_ratio":0.328062577848}
+{"tuple":"0,2,6","z":100000,"gamma_ratio":0.387589791207}
+{"tuple":"0,2,6","z":1000000,"gamma_ratio":0.438213590018}
+"""
+
+
+def test_selberg_gamma_table_bytes_pinned(capsys):
+    # a change of the G(z) or W(z) kernel must not move a printed digit
+    code, out, _ = run_cli(capsys, "selberg", "--tuple", "0,2,6", "--x", "100000", "--z", "240",
+                           "--gamma-table", "1000,10000,100000,1000000")
+    assert code == 0
+    assert out == SELBERG_GAMMA_STDOUT
+
+
+@pytest.mark.parametrize("extra", [("--z", "100000002"),
+                                   ("--z", "240", "--gamma-table", "1000,100000002")])
+def test_selberg_z_over_prime_budget_exits_3(capsys, monkeypatch, extra):
+    def never(*args, **kwargs):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr("primetail.cli.sieve_range", never)
+    monkeypatch.setattr("primetail.selberg.primes_upto", never)
+    code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "1000", *extra)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "100000002" in err and "budget" in err
+
+
 def test_selberg_z_epsilon_exclusive(capsys):
     code, _, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "10000",
                            "--z", "50", "--epsilon", "0.1")

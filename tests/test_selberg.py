@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import pytest
 
@@ -18,8 +19,10 @@ from primetail import (
     sieve_upper_bound,
     theorem_bound,
 )
-from primetail.errors import InadmissibleModulusError
+from primetail import selberg
+from primetail.errors import InadmissibleModulusError, ResourceError
 from primetail.primes import primes_upto
+from primetail.singular import _anchored, _nu_rows
 
 TWIN = Tuple.parse("0,2")
 
@@ -64,20 +67,40 @@ def test_big_G_small_values():
     assert big_G(10, TWIN) == pytest.approx(1 + 1 + 2 + 2 / 3 + 2 + 2 / 5, rel=1e-14)
 
 
-def test_big_G_against_direct_enumeration():
-    H = Tuple.parse("0,2,6")
-    z = 3000
-    direct = 0.0
+def _g_oracle(H, z):
+    """math.fsum over squarefree d < z of trial-division products, skipping nu(p) = p."""
+    terms = []
     for d in range(1, z):
         fac = _trial_factorization(d)
-        if any(e > 1 for e in fac.values()):
+        if any(e > 1 for e in fac.values()) or any(_nu(H, p) == p for p in fac):
             continue
         w = 1.0
-        for p in fac:
+        for p in sorted(fac):
             nu = _nu(H, p)
             w *= nu / (p - nu)
-        direct += w
-    assert big_G(z, H) == pytest.approx(direct, rel=1e-11)
+        terms.append(w)
+    return math.fsum(terms)
+
+
+def test_big_G_against_direct_enumeration():
+    H = Tuple.parse("0,2,6")
+    assert big_G(3000, H) == pytest.approx(_g_oracle(H, 3000), rel=1e-11)
+
+
+# 31^2, 37^2 and one more put a prime on r = isqrt(z - 1). Blocks of 64 d start at 1, 65, 129;
+# the last d of each is a multiple of 64, never squarefree, so blocks of 30 (1, 31, 61, ...),
+# shorter than r at z = 3000, check that no block drops its last d.
+EDGE_ZS = (2, 3, 4, 5, 30, 31, 32, 61, 62, 64, 65, 66, 129, 961, 962, 1369, 1370, 3000)
+
+
+@pytest.mark.parametrize("offs", [(0, 2), (0, 2, 6), (0, 1, 2), (0, 2, 4)], ids=str)
+def test_big_G_matches_fsum_oracle_across_edges(offs, monkeypatch):
+    H = Tuple(offs)
+    for z in EDGE_ZS:
+        want = _g_oracle(H, z)
+        for block in (64, 30):
+            monkeypatch.setattr(selberg, "_G_BLOCK", block)
+            assert abs(big_G(z, H) - want) <= 4 * math.ulp(want), (offs, z, block)
 
 
 def test_big_G_monotone_in_z():
@@ -101,6 +124,50 @@ def test_big_W_values():
     assert big_W(5, Tuple.parse("0,2,4")) == 0.0
     with pytest.raises(ValueError):
         big_W(1, TWIN)
+
+
+def test_big_W_equals_left_to_right_loop():
+    for offs, z in (((0, 2, 6), 10 ** 6), ((0, 2), 3), ((0,), 2), ((0, 2, 6, 8, 12), 5000)):
+        H = Tuple(offs)
+        loop = 1.0
+        for p in primes_upto(z - 1).tolist():
+            loop *= (p - _nu(H, p)) / p
+        assert big_W(z, H) == loop, (offs, z)
+    assert big_W(10 ** 6, Tuple.parse("0,2,6")) == 0.0001918243800530447
+
+
+def test_nu_table_slices_match_whole_rows(monkeypatch):
+    monkeypatch.setattr(selberg, "_NU_SLICE", 7)  # slices of 1 prime at k = 10, 3 at k = 2
+    for H in (TWIN, Tuple.parse("0,2,6,8,12,18,20,26,30,32"), Tuple.parse("0,1,2")):
+        ps, nus = selberg._nu_table(H, 2000)
+        assert ps.tolist() == primes_upto(1999).tolist()
+        assert nus.tolist() == _nu_rows(_anchored(H)[:, None], ps, axis=0).tolist()
+
+
+def test_nu_table_memory_sliced():
+    H = Tuple.parse("0,2,6,8,12,18,20,26,30,32")
+    primes_upto(10 ** 6)  # the shared prime cache is not the table's to count
+    tracemalloc.start()
+    try:
+        ps, nus = selberg._nu_table(H, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # nus is 0.6 MB; a (10, 78498) residue array and its sort took 12.7 MB
+    assert peak <= 4 * 2 ** 20, peak
+
+
+def test_prime_budget_refused_before_sieving(monkeypatch):
+    def never(n):
+        raise AssertionError("primes_upto reached")
+
+    monkeypatch.setattr(selberg, "primes_upto", never)
+    z = selberg._PRIME_BUDGET + 2
+    for fn in (big_G, big_W):
+        with pytest.raises(ResourceError, match="budget"):
+            fn(z, TWIN)
+    with pytest.raises(ResourceError, match="budget"):
+        gamma_cross_check(TWIN, z)
 
 
 def test_big_W_reciprocal_consistency():
