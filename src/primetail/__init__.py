@@ -43,7 +43,7 @@ from .moments import (
     tail_count,
     tail_report,
 )
-from .hl import HLReport, hl_error, hl_error_lambda, hl_sweep, li_k
+from .hl import HLReport, hl_error, hl_sweep, li_k
 from .selberg import (
     SieveReport,
     big_G,

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 
 from .errors import ResourceError
-from .primes import _PRIME_BUDGET, primes_upto
+from .primes import primes_upto
 from .singular import singular_series_block
 
 DEFAULT_BUDGET = 10 ** 7
@@ -144,10 +144,7 @@ def allk_bound(k):
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    kc = k ** 3
-    if kc > _PRIME_BUDGET:
-        raise ResourceError(f"k^3 = {kc} exceeds prime budget {_PRIME_BUDGET}")
-    ps = primes_upto(kc)
+    ps = primes_upto(k ** 3)
     with mpmath.workdps(40):
         runs = (ps[i : i + 256].tolist() for i in range(0, len(ps), 256))
         prod = mpmath.fprod(mpmath.mpf(math.prod(r)) / math.prod(p - 1 for p in r) for r in runs)

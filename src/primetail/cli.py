@@ -14,12 +14,12 @@ import math
 import sys
 from dataclasses import fields
 
-from .averages import DEFAULT_BUDGET, tkh_exact, tkh_monte_carlo
+from .averages import tkh_exact, tkh_monte_carlo
 from .errors import ResourceError
 from .hl import hl_sweep
 from .moments import moment_report, tail_report
-from .primes import PrimalityTable, sieve_range, window_counts
-from .selberg import _require_budget, gamma_cross_check, sieve_report
+from .primes import PrimalityTable, primes_upto, sieve_range, window_counts
+from .selberg import gamma_cross_check, sieve_report
 from .singular import Tuple, is_admissible, jensen_split_bound, singular_series
 
 
@@ -108,26 +108,22 @@ def _cmd_singular(args):
 
 def _cmd_tkh(args):
     k, h = args.k, args.h
-    mode = args.mode
-    if mode is None:
-        fits = k <= h and math.comb(h, k) * math.factorial(k) <= DEFAULT_BUDGET
-        mode = "exact" if fits else "mc"
-    config = {
-        "threads": args.threads,
-        "k": k,
-        "h": h,
-        "mode": mode,
-        "samples": args.samples if mode == "mc" else None,
-        "seed": args.seed if mode == "mc" else None,
-    }
-    if mode == "exact":
-        got = tkh_exact(k, h)
+    got = None
+    if args.mode != "mc":
+        try:
+            got = tkh_exact(k, h)
+        except ResourceError:  # without --mode, past tkh_exact's budget: Monte Carlo
+            if args.mode == "exact":
+                raise
+    mode = "mc" if got is None else "exact"
+    if got is not None:
         mean, error, samples, seed, scale = got.value, got.error, None, None, 1
     else:
         est = tkh_monte_carlo(k, h, args.samples, args.seed, workers=args.threads)
         mean, error, samples, seed = est.mean, est.stderr, est.samples, est.seed
         # T_k(h) = k! C(h,k) * mean of S over uniform sorted k-subsets
         scale = math.factorial(k) * math.comb(h, k)
+    config = {"threads": args.threads, "k": k, "h": h, "mode": mode, "samples": samples, "seed": seed}
     rec = {"k": k, "h": h, "mode": mode, "value_or_mean": mean, "error": error,
            "samples": samples, "seed": seed, "normalized": scale * mean / float(h) ** k}
     if mode == "mc":
@@ -171,8 +167,8 @@ def _cmd_selberg(args):
     if (args.z is None) == (args.epsilon is None):
         raise ValueError("give exactly one of --z and --epsilon")
     gamma_zs = [int(v) for v in args.gamma_table.split(",")] if args.gamma_table else []
-    for z in filter(None, [args.z, *gamma_zs]):
-        _require_budget(z)  # before the table is sieved or loaded
+    # the report needs the primes below each z; a z past the prime budget fails before the table loads
+    primes_upto(max([args.z or 2, *gamma_zs]) - 1)
     table = _load_table(args, args.x + H.offsets[-1] + 1)
     rep = sieve_report(H, args.x, z=args.z, epsilon=args.epsilon, table=table)
     config = {

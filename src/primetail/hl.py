@@ -59,28 +59,17 @@ class HLReport:
     lambda_form_error: float
 
 
-def hl_error_lambda(H, x, table=None):
-    """|sum_{n<=x} prod_i Lambda(n + h_i) - S(H) x|.
-
-    Inadmissible tuples have S = 0, so this reduces to the bare sum.
-    """
-    H = as_tuple(H)
-    if x < 2:
-        raise ValueError("need x >= 2")
-    if H.k == 0:
-        return 0.0
-    _, s = next(tuple_counts(table, H.offsets, [int(x)]))
-    sv = singular_series(H, target_error=None)
-    return abs(s - sv.value * x)
-
-
 def hl_error(H, x, table=None):
     """Hit count vs S(H) li_k(x) at a single checkpoint."""
     return hl_sweep(H, [x], table)[0]
 
 
 def hl_sweep(H, xs, table=None):
-    """Hit count vs S(H) li_k(x) at each ascending checkpoint, from one pass."""
+    """Hit count vs S(H) li_k(x) at each ascending checkpoint, from one pass.
+
+    lambda_form_error is |sum_{n<=x} prod_i Lambda(n + h_i) - S(H) x|, the
+    bare sum for an inadmissible tuple, whose S is 0.
+    """
     H = as_tuple(H)
     if H.k == 0:
         raise ValueError("need a non-empty tuple")

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError
+from .errors import CoverageError, ResourceError
 
 _MAGIC = b"PKT1"
 _SEGMENT = 1 << 20  # odd-n flags per sieve segment; a multiple of 8, so each packs into whole bytes
 _CHUNK = 1 << 20  # n per block of the streaming passes; below 2^30 so window keys fit int32
-_PRIME_BUDGET = 10 ** 8  # allk_bound and jensen_split_bound sieve the primes up to k^3
+_PRIME_BUDGET = 10 ** 8  # primes_upto refuses n above it, and its cache never grows past it
 
 
 _primes, _cap = np.array([2], dtype=np.int64), 2  # the one even prime: _segments sieves odd n
@@ -53,12 +53,15 @@ def _segments(lo, hi):
 def primes_upto(n):
     """Sorted int64 array of the primes <= n, read off one shared cache.
 
-    The cache grows by at least doubling, through the segmented pass that
-    sieve_range packs; callers get a view into it and must not mutate it.
+    The cache grows by at least doubling, up to _PRIME_BUDGET, through the
+    segmented pass that sieve_range packs; callers get a view into it and must
+    not mutate it. An n above the budget raises ResourceError before any sieving.
     """
     global _primes, _cap
+    if n > _PRIME_BUDGET:
+        raise ResourceError(f"primes up to {n} exceed the prime budget {_PRIME_BUDGET}")
     if n > _cap:
-        top = max(n, 2 * _cap)
+        top = max(n, min(2 * _cap, _PRIME_BUDGET))
         primes_upto(math.isqrt(top))  # the sieving primes first: this may grow _cap
         found = [np.flatnonzero(seg) * 2 + (seg_lo + 1) for seg_lo, seg in _segments(_cap + 1, top)]
         _primes, _cap = np.concatenate([_primes, *found]), top

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleModulusError, ResourceError
-from .primes import _PRIME_BUDGET, count_tuple_hits, primes_upto
+from .errors import InadmissibleModulusError
+from .primes import count_tuple_hits, primes_upto
 from .singular import as_tuple, singular_series, Tuple, _anchored, _nu_rows, _prime_factors
 
 log = logging.getLogger(__name__)
@@ -26,17 +26,12 @@ _G_BLOCK = 1 << 16  # d per block of the G(z) sieve
 _NU_SLICE = 1 << 16  # residues per slice of the nu table, whatever k is
 
 
-def _require_budget(z):
-    """Refuse a z whose primes below it would pass the prime budget."""
-    if z - 1 > _PRIME_BUDGET:
-        raise ResourceError(f"z = {z} needs the primes up to {z - 1}, over the budget {_PRIME_BUDGET}")
-
-
 def _nu_table(H, z):
     """(primes p < z, nu_H(p)) as parallel arrays; nu is taken over slices of primes."""
-    _require_budget(z)
+    if z < 2:
+        raise ValueError("need z >= 2")
     ps = primes_upto(z - 1)
-    offs = _anchored(H)[:, None]
+    offs = _anchored(as_tuple(H))[:, None]
     step = max(1, _NU_SLICE // len(offs))
     nus = np.empty_like(ps)
     for i in range(0, len(ps), step):
@@ -85,22 +80,8 @@ def _g_block(lo, hi, small):
     return g
 
 
-def big_G(z, H):
-    """G(z) = sum over squarefree d < z of g(d).
-
-    A squarefree d < z has at most one prime factor above r = isqrt(z - 1).
-    Blocks of _G_BLOCK d take the d built from primes p <= r; each other d is
-    e q with a prime q > r and e <= r, and adds g(e) g(q), one vector per e.
-    Every term is its ascending product of prime weights from 1.0, and
-    math.fsum adds the block and vector sums.
-
-    Primes with nu(p) = p carry no valid weight; they are skipped under a
-    warning that counts them, which keeps G finite for inadmissible tuples.
-    """
-    if z < 2:
-        raise ValueError("need z >= 2")
-    H = as_tuple(H)
-    ps, nus = _nu_table(H, z)
+def _G(z, ps, nus):
+    """G(z) from the nu table of the primes below z; see big_G."""
     bad = nus == ps
     if bad.any():
         log.warning("big_G: skipping %d primes with nu(p) = p", np.count_nonzero(bad))
@@ -119,25 +100,48 @@ def big_G(z, H):
     return math.fsum(parts)
 
 
+def _W(ps, nus):
+    """W(z) from the nu table of the primes below z, left to right."""
+    return math.prod(((ps - nus) / ps).tolist(), start=1.0)
+
+
+def _positive_W(ps, nus):
+    """W(z), refused when some prime below z covers every residue class."""
+    W = _W(ps, nus)
+    if W == 0.0:
+        raise InadmissibleModulusError(
+            "W(z) = 0: some prime below z covers every residue class"
+        )
+    return W
+
+
+def big_G(z, H):
+    """G(z) = sum over squarefree d < z of g(d).
+
+    A squarefree d < z has at most one prime factor above r = isqrt(z - 1).
+    Blocks of _G_BLOCK d take the d built from primes p <= r; each other d is
+    e q with a prime q > r and e <= r, and adds g(e) g(q), one vector per e.
+    Every term is its ascending product of prime weights from 1.0, and
+    math.fsum adds the block and vector sums.
+
+    Primes with nu(p) = p carry no valid weight; they are skipped under a
+    warning that counts them, which keeps G finite for inadmissible tuples.
+    """
+    return _G(z, *_nu_table(H, z))
+
+
 def big_W(z, H):
     """W(z) = prod_{p < z} (1 - nu(p)/p), left to right; exactly 0.0 when some nu(p) = p."""
-    if z < 2:
-        raise ValueError("need z >= 2")
-    H = as_tuple(H)
-    ps, nus = _nu_table(H, z)
-    return math.prod(((ps - nus) / ps).tolist(), start=1.0)
+    return _W(*_nu_table(H, z))
 
 
 def sieve_upper_bound(H, x, z):
     """x/G(z) + z^2/W(z)^3, the raw sieve bound on hits up to x."""
     if x < 1:
         raise ValueError("need x >= 1")
-    W = big_W(z, H)
-    if W == 0.0:
-        raise InadmissibleModulusError(
-            "W(z) = 0: some prime below z covers every residue class"
-        )
-    return x / big_G(z, H) + z * z / W ** 3
+    nu = _nu_table(H, z)
+    W = _positive_W(*nu)
+    return x / _G(z, *nu) + z * z / W ** 3
 
 
 def theorem_bound(H, x, epsilon):
@@ -197,13 +201,10 @@ def gamma_cross_check(H, z):
     if z < 16:
         raise ValueError("need z >= 16")
     H = as_tuple(H)
-    W = big_W(z, H)
-    if W == 0.0:
-        raise InadmissibleModulusError(
-            "W(z) = 0: some prime below z covers every residue class"
-        )
+    nu = _nu_table(H, z)
+    W = _positive_W(*nu)
     k = H.k
-    return 1.0 / (big_G(z, H) * W * math.exp(np.euler_gamma * k) * math.factorial(k))
+    return 1.0 / (_G(z, *nu) * W * math.exp(np.euler_gamma * k) * math.factorial(k))
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,8 @@ def sieve_report(H, x, z=None, epsilon=None, table=None):
     z = int(z)
     k = H.k
     actual = count_tuple_hits(table, H, x)
-    W = big_W(z, H)
-    G = big_G(z, H)
+    nu = _nu_table(H, z)
+    W, G = _W(*nu), _G(z, *nu)
     raw = x / G + z * z / W ** 3 if W > 0.0 else math.inf
     thm = theorem_bound(H, x, eps_for_bound)
     alpha1, L = omega_constants(H)

@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from .errors import ResourceError
-from .primes import _PRIME_BUDGET, primes_upto
+from .primes import primes_upto
 
 _EPS = 2.0 ** -52
 
@@ -315,8 +315,6 @@ def jensen_split_bound(H):
     if k < 2:
         raise ValueError("need k >= 2")
     kc = k ** 3
-    if kc > _PRIME_BUDGET:
-        raise ResourceError(f"k^3 = {kc} exceeds prime budget {_PRIME_BUDGET}")
     # slices of 2^16 primes keep memory near the prime array; the tail's cumsum carries on exactly
     ps, head, tail = primes_upto(kc), 0.0, 0.0
     for i in range(0, len(ps), 1 << 16):

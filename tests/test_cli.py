@@ -81,6 +81,22 @@ def test_tkh_auto_switches_to_mc(capsys):
     assert rec["tkh_estimate"] == pytest.approx(scale * rec["value_or_mean"], rel=1e-9)
 
 
+def test_tkh_auto_is_exact_where_tkh_exact_fits(capsys):
+    # 9999 anchored rows fit tkh_exact's budget, though 2! C(10000, 2) > 10^7
+    code, out, _ = run_cli(capsys, "tkh", "--k", "2", "--h", "10000")
+    assert code == 0
+    assert '"mode":"exact"' in out
+    _, exact, _ = run_cli(capsys, "tkh", "--k", "2", "--h", "10000", "--mode", "exact")
+    assert out == exact  # the header echoes the resolved mode, so it matches too
+
+
+def test_tkh_auto_k_above_h_is_zero(capsys):
+    code, out, _ = run_cli(capsys, "tkh", "--k", "5", "--h", "3")
+    assert code == 0
+    rec = json.loads(lines_of(out)[1])
+    assert rec["mode"] == "exact" and rec["value_or_mean"] == 0
+
+
 def test_tkh_threads_recorded(capsys):
     _, out, _ = run_cli(capsys, "tkh", "--k", "2", "--h", "30", "--mode", "mc",
                         "--samples", "150", "--seed", "1", "--threads", "4")
@@ -233,11 +249,11 @@ def test_selberg_z_over_prime_budget_exits_3(capsys, monkeypatch, extra):
         raise AssertionError("sieved")
 
     monkeypatch.setattr("primetail.cli.sieve_range", never)
-    monkeypatch.setattr("primetail.selberg.primes_upto", never)
+    monkeypatch.setattr("primetail.primes._segments", never)
     code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "1000", *extra)
     assert code == 3
     assert out == ""
-    assert err.count("\n") == 1 and "100000002" in err and "budget" in err
+    assert err.count("\n") == 1 and "primes up to 100000001 exceed the prime budget" in err
 
 
 def test_selberg_z_epsilon_exclusive(capsys):

@@ -11,7 +11,6 @@ import pytest
 from primetail import (
     Tuple,
     hl_error,
-    hl_error_lambda,
     hl_sweep,
     li_k,
     sieve_range,
@@ -140,7 +139,8 @@ def test_hl_error_lambda_psi_form(table_1e6):
     # k = 1 reduces to |psi(x) - x|
     x = 10 ** 4
     direct = abs(sum(_lambda_dict(x).values()) - x)
-    assert hl_error_lambda(Tuple.parse("0"), x, table_1e6) == pytest.approx(direct, rel=1e-12)
+    got = hl_error(Tuple.parse("0"), x, table_1e6).lambda_form_error
+    assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_hl_error_lambda_pair_brute(table_1e6):
@@ -148,7 +148,7 @@ def test_hl_error_lambda_pair_brute(table_1e6):
     lam = _lambda_dict(x + 2)
     direct = sum(lam.get(n, 0.0) * lam.get(n + 2, 0.0) for n in range(1, x + 1))
     sv = 1.320323631693739
-    got = hl_error_lambda(Tuple.parse("0,2"), x, table_1e6)
+    got = hl_error(Tuple.parse("0,2"), x, table_1e6).lambda_form_error
     assert got == pytest.approx(abs(direct - sv * x), rel=1e-10)
 
 
@@ -156,7 +156,7 @@ def test_hl_error_lambda_inadmissible_is_bare_sum(table_1e6):
     x = 1000
     lam = _lambda_dict(x + 1)
     direct = sum(lam.get(n, 0.0) * lam.get(n + 1, 0.0) for n in range(1, x + 1))
-    got = hl_error_lambda(Tuple.parse("0,1"), x, table_1e6)
+    got = hl_error(Tuple.parse("0,1"), x, table_1e6).lambda_form_error
     assert got == pytest.approx(direct, rel=1e-12)
 
 

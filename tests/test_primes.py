@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primetail import PrimalityTable, count_tuple_hits, primes, sieve_range, window_counts
-from primetail.errors import CoverageError
+from primetail.errors import CoverageError, ResourceError
 
 
 def _trial_is_prime(n):
@@ -117,21 +117,14 @@ def test_primes_every_parity_of_lo_and_hi(base):
             assert got.tolist() == [p for p in trial if lo <= p <= hi], (lo, hi)
 
 
-def _empty_prime_cache(monkeypatch):
-    # the cache as at import, holding only the even prime; monkeypatch puts the
-    # shared cache back at teardown
-    monkeypatch.setattr(primes, "_primes", np.array([2], dtype=np.int64))
-    monkeypatch.setattr(primes, "_cap", 2)
-
-
-def test_primes_upto_bootstrap_and_segment_edges(monkeypatch):
+def test_primes_upto_bootstrap_and_segment_edges(monkeypatch, fresh_prime_cache):
     monkeypatch.setattr(primes, "_SEGMENT", 32)  # 32 odd flags span 64 integers
     trial = [n for n in range(600) if _trial_is_prime(n)]
     for n in range(600):
-        _empty_prime_cache(monkeypatch)
+        fresh_prime_cache()
         assert primes.primes_upto(n).tolist() == [p for p in trial if p <= n], n
     # one growth from a non-empty cache: (100, 300] crosses segment edges at 164, 228, 292
-    _empty_prime_cache(monkeypatch)
+    fresh_prime_cache()
     primes.primes_upto(100)
     assert primes._cap == 100
     assert primes.primes_upto(300).tolist() == [p for p in trial if p <= 300]
@@ -143,9 +136,8 @@ def test_primes_upto_pi_values():
     assert len(primes.primes_upto(10 ** 7)) == 664579
 
 
-def test_primes_upto_memory_bounded(monkeypatch):
+def test_primes_upto_memory_bounded(fresh_prime_cache):
     # segments of flags are freed as they go; the peak is the output and its concatenation
-    _empty_prime_cache(monkeypatch)
     tracemalloc.start()
     try:
         out = primes.primes_upto(10 ** 7)
@@ -153,6 +145,30 @@ def test_primes_upto_memory_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * out.nbytes, peak / out.nbytes
+
+
+def test_primes_upto_refuses_past_budget_before_sieving(monkeypatch):
+    def never(lo, hi):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(primes, "_segments", never)
+    n = primes._PRIME_BUDGET + 1
+    with pytest.raises(ResourceError, match=f"primes up to {n} exceed the prime budget"):
+        primes.primes_upto(n)
+
+
+def test_prime_cache_never_grows_past_budget(monkeypatch, fresh_prime_cache):
+    monkeypatch.setattr(primes, "_PRIME_BUDGET", 1000)
+    trial = [n for n in range(1001) if _trial_is_prime(n)]
+    primes.primes_upto(600)
+    assert primes._cap == 600
+    # doubling would reach 1200; the growth stops at the budget
+    assert primes.primes_upto(700).tolist() == [p for p in trial if p <= 700]
+    assert primes._cap == 1000
+    assert primes.primes_upto(1000).tolist() == trial
+    with pytest.raises(ResourceError):
+        primes.primes_upto(1001)
+    assert primes._cap == 1000
 
 
 def test_count_matches_enumeration(table_1e6):

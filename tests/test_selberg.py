@@ -19,7 +19,7 @@ from primetail import (
     sieve_upper_bound,
     theorem_bound,
 )
-from primetail import selberg
+from primetail import primes, selberg
 from primetail.errors import InadmissibleModulusError, ResourceError
 from primetail.primes import primes_upto
 from primetail.singular import _anchored, _nu_rows
@@ -158,16 +158,28 @@ def test_nu_table_memory_sliced():
 
 
 def test_prime_budget_refused_before_sieving(monkeypatch):
-    def never(n):
-        raise AssertionError("primes_upto reached")
+    def never(lo, hi):
+        raise AssertionError("sieved")
 
-    monkeypatch.setattr(selberg, "primes_upto", never)
-    z = selberg._PRIME_BUDGET + 2
+    monkeypatch.setattr(primes, "_segments", never)
+    z = primes._PRIME_BUDGET + 2
     for fn in (big_G, big_W):
         with pytest.raises(ResourceError, match="budget"):
             fn(z, TWIN)
     with pytest.raises(ResourceError, match="budget"):
         gamma_cross_check(TWIN, z)
+
+
+def test_one_nu_table_per_z(monkeypatch):
+    calls = []
+    nu_table = selberg._nu_table
+    monkeypatch.setattr(selberg, "_nu_table", lambda H, z: calls.append(z) or nu_table(H, z))
+    rep = sieve_report(TWIN, 10 ** 4, z=100)
+    assert calls == [100]
+    assert (rep.G_z, rep.W_z) == (big_G(100, TWIN), big_W(100, TWIN))
+    calls.clear()
+    gamma_cross_check(TWIN, 1000)
+    assert calls == [1000]
 
 
 def test_big_W_reciprocal_consistency():
