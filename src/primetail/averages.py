@@ -21,8 +21,7 @@ from .singular import singular_series_block
 DEFAULT_BUDGET = 10 ** 7
 PER_TUPLE_ERROR = 1e-10
 _BLOCK = 1 << 14
-_REJECT_BATCH = 4096
-_SHUFFLE_BATCH = 2048
+_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,12 @@ class EstimateWithError:
     workers: int = 1
 
 
-def tkh_exact(k, h, target_error=PER_TUPLE_ERROR, budget=DEFAULT_BUDGET):
+def tkh_exact(k, h, budget=DEFAULT_BUDGET):
     """T_k(h) = k! sum over 0 < d_2 < ... < d_k < h of (h - d_k) S({0, d_2, ..., d_k}).
 
     The C(h-1,k-1) anchored rows are streamed in blocks of at most 2^14.
     The reported error is k! times the larger of the weighted radii and
-    C(h,k) * target_error. Raises ResourceError if the anchored rows
+    C(h,k) * PER_TUPLE_ERROR. Raises ResourceError if the anchored rows
     exceed the budget.
     """
     if k < 1 or h < 1:
@@ -68,39 +67,37 @@ def tkh_exact(k, h, target_error=PER_TUPLE_ERROR, budget=DEFAULT_BUDGET):
         total += float(weights @ vals)
         radii += float(weights @ rads)
     kf = math.factorial(k)
-    return ValueWithError(kf * total, kf * max(radii, math.comb(h, k) * target_error))
+    return ValueWithError(kf * total, kf * max(radii, math.comb(h, k) * PER_TUPLE_ERROR))
 
 
-def tkh_pair_fast(h, target_error=PER_TUPLE_ERROR):
+def tkh_pair_fast(h):
     """T_2(h) = 2 sum_{0<d<h} (h-d) S({0,d}), which is tkh_exact(2, h)."""
     if h < 2:
         raise ValueError("need h >= 2")
-    return tkh_exact(2, h, target_error)
+    return tkh_exact(2, h)
+
+
+def _subsets(rng, k, h, m):
+    """m uniform random k-subsets of [1, h] as sorted rows, by Floyd's algorithm.
+
+    Draw j = 1..k takes t uniform in [1, h - k + j], or h - k + j if the row
+    holds t already: k draws a row whatever h is.
+    """
+    rows = np.empty((m, k), dtype=np.int64)
+    for j in range(k):
+        top = h - k + j + 1
+        t = rng.integers(1, top, size=m, endpoint=True)
+        rows[:, j] = np.where((rows[:, :j] == t[:, None]).any(axis=1), top, t)
+    rows.sort(axis=1)
+    return rows
 
 
 def _sample_values(rng, k, h, n):
-    """n singular-series values at uniform random k-subsets of [1, h].
-
-    Rejection sampling from sorted iid draws while collisions are rare;
-    partial shuffles once k^2 > h/2. Fixed batch sizes keep the stream
-    deterministic for a given generator state.
-    """
+    """n singular-series values at uniform random k-subsets of [1, h], _BATCH rows at a time."""
     out = np.empty(n)
-    filled = 0
-    shuffle = k * k * 2 > h
-    pool = np.arange(1, h + 1, dtype=np.int64)
-    while filled < n:
-        if shuffle:
-            block = np.tile(pool, (_SHUFFLE_BATCH, 1))
-            block = rng.permuted(block, axis=1)
-            rows = np.sort(block[:, :k], axis=1)
-        else:
-            draw = rng.integers(1, h + 1, size=(_REJECT_BATCH, k))
-            rows = np.sort(draw, axis=1)
-            rows = rows[(np.diff(rows, axis=1) > 0).all(axis=1)]
-        rows = rows[: n - filled]
-        out[filled : filled + len(rows)] = singular_series_block(rows - rows[:, :1])[0]
-        filled += len(rows)
+    for i in range(0, n, _BATCH):
+        rows = _subsets(rng, k, h, min(_BATCH, n - i))
+        out[i : i + len(rows)] = singular_series_block(rows - rows[:, :1])[0]
     return out
 
 

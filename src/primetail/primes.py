@@ -1,15 +1,14 @@
 """Bit-packed segmented sieve and counting passes over it.
 
-The table stores one bit per integer, 64 per little-endian word, so the
-full range to 10^8 fits in ~12 MB and popcounts come straight off the
-words. Window counts and the one tuple pass (hits and Lambda sums) stream
-the table in chunks, never more than a few million unpacked flags at once;
-past the unpack, a chunk of window counts costs O(primes in it), not O(chunk).
-Every list of small primes in the package (sieving primes, factoring, local
-factors, sieve weights) comes from the one growing cache primes_upto. One
-segmented Eratosthenes pass, _segments, grows that cache and fills the tables.
-It sieves odd n only: sieve_range spreads its flags onto every other bit and
-adds 2, and PrimalityTable.primes reads back only those bits.
+The table stores one bit per odd integer, 64 per little-endian word, so the
+range to 10^8 fits in ~6 MB and popcounts come straight off the words; its
+readers add 2. Window counts and the one tuple pass (hits and Lambda sums)
+stream the table in chunks, never more than a few million unpacked flags at
+once; past the unpack, a chunk of window counts costs O(primes in it), not
+O(chunk). Every list of small primes in the package (sieving primes,
+factoring, local factors, sieve weights) comes from the one growing cache
+primes_upto. One segmented Eratosthenes pass over odd n, _segments, grows
+that cache and fills the tables with the flags it sieves.
 """
 
 import math
@@ -20,21 +19,13 @@ import numpy as np
 
 from .errors import CoverageError, ResourceError
 
-_MAGIC = b"PKT1"
+_MAGIC = b"PKT2"
 _SEGMENT = 1 << 20  # odd-n flags per sieve segment; a multiple of 8, so each packs into whole bytes
 _CHUNK = 1 << 20  # n per block of the streaming passes; below 2^30 so window keys fit int32
 _PRIME_BUDGET = 10 ** 8  # primes_upto refuses n above it, and its cache never grows past it
 
 
 _primes, _cap = np.array([2], dtype=np.int64), 2  # the one even prime: _segments sieves odd n
-
-# Odd n sit on bits r, r + 2, r + 4, r + 6 of each byte of a table, r = (base + 1) % 2. As byte
-# strings viewed whole (so host byte order never enters), _SPREAD[r][b] is the 2 bytes carrying
-# the 8 flags of a packed byte b, _GATHER[r][b] the 4 odd-n flags of a byte b as 4 bools.
-_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-_SPREAD = [np.packbits(np.dstack(pair).reshape(256, 16), axis=1, bitorder="little").view(np.uint16).ravel()
-           for pair in ((_BITS, 0 * _BITS), (0 * _BITS, _BITS))]
-_GATHER = [np.ascontiguousarray(_BITS[:, r::2]).view(np.uint32).ravel() for r in (0, 1)]
 
 
 def _segments(lo, hi):
@@ -68,18 +59,23 @@ def primes_upto(n):
     return _primes[: np.searchsorted(_primes, n, side="right")]
 
 
+def _n_words(base, limit):
+    """Words holding one bit per odd n in [base, limit]."""
+    return max((limit + 1) // 2 - base // 2 + 63, 0) // 64
+
+
 class PrimalityTable:
     """Primality of every integer in [base, limit].
 
-    Bit j of word w flags base + 64*w + j; bits for n < 2 are always 0.
-    Words are little-endian uint64 so the on-disk and in-memory layouts
-    agree byte for byte.
+    Bit j of word w flags the odd n = (base | 1) + 2 (64w + j), so bit n // 2 - base // 2
+    flags an odd n; the bit of 1 and padding bits past limit are 0. Even n are not stored:
+    readers add 2. Words are little-endian uint64, on disk as in memory.
     """
 
     def __init__(self, base, limit, words):
         if base < 0 or limit < base:
             raise ValueError(f"invalid range [{base}, {limit}]")
-        n_words = ((limit - base + 1) + 63) // 64
+        n_words = _n_words(base, limit)
         if len(words) != n_words:
             raise ValueError(f"expected {n_words} words, got {len(words)}")
         self.base = base
@@ -87,7 +83,7 @@ class PrimalityTable:
         self.words = np.ascontiguousarray(words, dtype="<u8")
 
     # -- persistence ----------------------------------------------------
-    # file layout: magic "PKT1", base and limit as 8-byte LE, then words
+    # file layout: magic "PKT2", base and limit as 8-byte LE, then words
 
     def save(self, path):
         with open(path, "wb") as f:
@@ -100,11 +96,11 @@ class PrimalityTable:
         with open(path, "rb") as f:
             head = f.read(20)
             if head[:4] != _MAGIC:
-                raise ValueError(f"not a primality table file (magic {head[:4]!r})")
+                raise ValueError(f"not a {_MAGIC.decode()} table (magic {head[:4]!r}); remake it with sieve-cache")
             size, want = f.seek(0, 2), 20
             if len(head) == want:
                 base, limit = struct.unpack_from("<QQ", head, 4)
-                want += 8 * ((max(limit - base + 1, 0) + 63) // 64)
+                want += 8 * _n_words(base, limit)
             if size != want:
                 raise ValueError(f"table file {path} is {size} bytes, expected {want}")
             f.seek(20)
@@ -116,32 +112,47 @@ class PrimalityTable:
         if lo < self.base or hi > self.limit:
             raise CoverageError(lo, hi, self.base, self.limit)
 
+    def _odd_flags(self, lo, hi):
+        """Flags of the odd n in [lo, hi] as bools, flag i for (lo | 1) + 2i."""
+        j0, j1 = lo // 2 - self.base // 2, (hi + 1) // 2 - self.base // 2
+        bits = np.unpackbits(self.words.view(np.uint8)[j0 >> 3 : ((j1 - 1) >> 3) + 1], bitorder="little")
+        return bits[j0 & 7 : (j0 & 7) + j1 - j0].view(np.bool_)
+
     def is_prime(self, n):
         self.require_cover(n, n)
-        i = n - self.base
-        return bool((int(self.words[i >> 6]) >> (i & 63)) & 1)
+        if n % 2 == 0:
+            return n == 2
+        j = n // 2 - self.base // 2
+        return bool((int(self.words[j >> 6]) >> (j & 63)) & 1)
 
     def bools(self, lo, hi):
         """Primality flags for lo..hi inclusive as a bool array."""
         if hi < lo:
             return np.zeros(0, dtype=bool)
         self.require_cover(lo, hi)
-        i0, i1 = lo - self.base, hi - self.base
-        bits = np.unpackbits(self.words.view(np.uint8)[i0 >> 3 : (i1 >> 3) + 1], bitorder="little")
-        return bits[i0 & 7 : (i0 & 7) + i1 - i0 + 1].view(np.bool_)
+        k = 1 - lo % 2  # pair i holds the bytes of the odd n = lo - k + 2i and of n + 1
+        pairs = np.zeros((hi + 1) // 2 - (lo - 1) // 2, dtype="<u2")  # one per odd n in [lo - 1, hi]
+        pairs[k:] = self._odd_flags(lo, hi)
+        out = pairs.view(np.bool_)[k : k + hi - lo + 1]
+        if lo <= 2 <= hi:
+            out[2 - lo] = True
+        return out
 
     def count(self, lo=None, hi=None):
-        """Number of primes in [lo, hi], popcounted off the packed words."""
+        """Number of primes in [lo, hi], popcounted off the packed words, plus 2."""
         lo = self.base if lo is None else lo
         hi = self.limit if hi is None else hi
         if hi < lo:
             return 0
         self.require_cover(lo, hi)
-        i0, i1 = lo - self.base, hi - self.base
-        ws = self.words[i0 >> 6 : (i1 >> 6) + 1]
-        below = int(ws[0]) & ((1 << (i0 & 63)) - 1)
-        above = int(ws[-1]) >> ((i1 & 63) + 1)
-        return int(np.bitwise_count(ws).sum()) - below.bit_count() - above.bit_count()
+        two = int(lo <= 2 <= hi)
+        j0, j1 = lo // 2 - self.base // 2, (hi + 1) // 2 - self.base // 2
+        if j1 == j0:
+            return two
+        ws = self.words[j0 >> 6 : ((j1 - 1) >> 6) + 1]
+        below = int(ws[0]) & ((1 << (j0 & 63)) - 1)
+        above = int(ws[-1]) >> (((j1 - 1) & 63) + 1)
+        return two + int(np.bitwise_count(ws).sum()) - below.bit_count() - above.bit_count()
 
     def primes(self, lo=None, hi=None):
         """All primes in [lo, hi] as an int64 array: 2, then the odd n's set bits."""
@@ -150,11 +161,7 @@ class PrimalityTable:
         if hi < lo:
             return np.zeros(0, dtype=np.int64)
         self.require_cover(lo, hi)
-        b0, b1, r = (lo - self.base) >> 3, (hi - self.base) >> 3, (self.base + 1) % 2
-        first = self.base + 8 * b0 + r  # the first odd n in byte b0
-        flags = _GATHER[r].take(self.words.view(np.uint8)[b0 : b1 + 1]).view(np.bool_)
-        j0, j1 = (lo - first + 1) >> 1, (hi - first) >> 1  # flag j stands for first + 2j
-        odd = np.flatnonzero(flags[j0 : j1 + 1]) * 2 + (first + 2 * j0)
+        odd = np.flatnonzero(self._odd_flags(lo, hi)) * 2 + (lo | 1)
         return np.concatenate(([2], odd)) if lo <= 2 <= hi else odd
 
 
@@ -162,14 +169,10 @@ def sieve_range(base, limit):
     """Sieve [base, limit] into a packed PrimalityTable, by primes_upto's segmented pass."""
     if base < 0 or limit < base:
         raise ValueError(f"invalid range [{base}, {limit}]")
-    words = np.zeros((limit - base + 64) // 64, dtype="<u8")
-    raw, spread = words.view(np.uint8), _SPREAD[(base + 1) % 2]
+    words = np.zeros(_n_words(base, limit), dtype="<u8")
     for seg_lo, seg in _segments(base, limit):
-        i = (seg_lo + 1 - base) >> 3  # seg_lo + 1 - base is 8i + r: flag 0 lands on bit r of byte i
-        bits = spread.take(np.packbits(seg, bitorder="little")).view(np.uint8)[: len(raw) - i]
-        raw[i : i + len(bits)] = bits
-    if base <= 2 <= limit:
-        raw[(2 - base) >> 3] |= 1 << ((2 - base) & 7)
+        i = (seg_lo + 1 - (base | 1)) >> 4  # flag 0's byte: a segment holds whole bytes of flags
+        words.view(np.uint8)[i : i + (len(seg) + 7) // 8] = np.packbits(seg, bitorder="little")
     return PrimalityTable(base, limit, words)
 
 

@@ -104,8 +104,6 @@ def _prime_factors(ds):
         raise ValueError("need d >= 1")
     out = [[] for _ in range(len(rest))]
     top = int(rest.max(initial=1))
-    if math.isqrt(top) > 10 ** 7:
-        raise ResourceError(f"factoring {top} would sieve primes up to {math.isqrt(top)} (limit 10^7)")
     ps = primes_upto(math.isqrt(top))
     step = max(1, (1 << 16) // max(len(rest), 1))
     for i in range(0, len(ps), step):

@@ -4,11 +4,13 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from primetail import (
     Tuple,
     allk_bound,
+    averages,
     singular_series,
     tkh_exact,
     tkh_monte_carlo,
@@ -132,7 +134,7 @@ def test_mc_worker_count_changes_stream():
 
 @pytest.mark.parametrize("seed, workers, mean, stderr", [
     (12345, 1, 0.0, 0.0),
-    (945503140, 2, 0.11029662916077942, 0.11029662916077947),
+    (945503140, 2, 0.09469249271051833, 0.09469249271051834),
 ])
 def test_mc_stream_pinned(seed, workers, mean, stderr):
     # bit-for-bit pins: the estimate is a function of (samples, seed, workers) alone
@@ -145,18 +147,20 @@ def test_mc_k1_degenerate():
     assert (est.mean, est.stderr) == (1.0, 0.0)
 
 
-def test_mc_matches_exact_rejection_path():
-    # k^2 << h keeps the sampler on iid draws with rejection
-    est = tkh_monte_carlo(3, 30, 20000, seed=101)
-    exact_mean = tkh_exact(3, 30).value / (math.factorial(3) * math.comb(30, 3))
+@pytest.mark.parametrize("k, h, seed", [(3, 30, 101), (5, 25, 55), (4, 40, 7)])
+def test_mc_matches_exact(k, h, seed):
+    est = tkh_monte_carlo(k, h, 20000, seed=seed)
+    exact_mean = tkh_exact(k, h).value / (math.factorial(k) * math.comb(h, k))
     assert abs(est.mean - exact_mean) <= 4 * est.stderr
 
 
-def test_mc_matches_exact_shuffle_path():
-    # k^2 > h/2 forces the partial-shuffle sampler
-    est = tkh_monte_carlo(5, 25, 20000, seed=55)
-    exact_mean = tkh_exact(5, 25).value / (math.factorial(5) * math.comb(25, 5))
-    assert abs(est.mean - exact_mean) <= 4 * est.stderr
+def test_sampler_draws_every_subset_evenly():
+    # 2*10^5 draws of 3-subsets of [1, 6]: each of the 20 is expected 10^4 times,
+    # with a standard deviation near 97
+    rows = averages._subsets(np.random.default_rng(2024), 3, 6, 2 * 10 ** 5)
+    subsets, counts = np.unique(rows, axis=0, return_counts=True)
+    assert [tuple(r) for r in subsets.tolist()] == list(combinations(range(1, 7), 3))
+    assert np.abs(counts - 10 ** 4).max() <= 500, counts
 
 
 def test_allk_bound_k2_exact():

@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import primetail
@@ -277,6 +279,19 @@ def test_sieve_cache_workflow(tmp_path, capsys):
     assert code == 2
 
 
+def test_pkt1_table_exits_2_naming_sieve_cache(tmp_path, capsys):
+    # the layout before PKT2: one bit per integer in [base, limit], 2 and the even n included
+    limit = 10000
+    flags = [n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1)) for n in range(limit + 1)]
+    words = bytes(np.packbits(flags + [False] * (-len(flags) % 64), bitorder="little"))
+    path = tmp_path / "old.pkt"
+    path.write_bytes(b"PKT1" + struct.pack("<QQ", 0, limit) + words)
+    code, out, err = run_cli(capsys, "hl", "--tuple", "0,2", "--x", "1000", "--cache", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "sieve-cache" in err
+
+
 def test_truncated_table_exits_2(tmp_path, capsys):
     path = tmp_path / "t.pkt"
     code, _, _ = run_cli(capsys, "sieve-cache", "--limit", "10000", "--out", str(path))
@@ -405,11 +420,11 @@ def test_hl_bad_sweep_exits_2(capsys, sweep):
 
 def test_singular_huge_difference_exits_3(capsys):
     # the difference is even, so {0, d} is admissible and d must be factored;
-    # that would sieve primes up to isqrt(d) = 3e9
+    # that would sieve primes up to isqrt(d) = 3e9, past the prime budget
     code, out, err = run_cli(capsys, "singular", "--tuple", f"0,{2 ** 63 - 2}")
     assert code == 3
     assert out == ""
-    assert err.count("\n") == 1 and "limit 10^7" in err
+    assert err.count("\n") == 1 and "prime budget" in err
 
 
 def test_singular_jensen_past_prime_budget_exits_3(capsys):

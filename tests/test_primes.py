@@ -86,15 +86,25 @@ def test_segment_size_invariance(monkeypatch):
 def test_sieve_range_odd_and_unaligned_bases(monkeypatch, base):
     # 32 odd flags a segment span 64 integers, so 700 integers cross at least 10
     # segment edges; every word, padding bits past limit included, must match
-    # the bits packed from trial division
+    # the odd n's bits packed from trial division
     monkeypatch.setattr(primes, "_SEGMENT", 32)
     limit = base + 700
     t = sieve_range(base, limit)
-    flags = np.array([_trial_is_prime(n) for n in range(base, limit + 1)])
+    flags = np.array([_trial_is_prime(n) for n in range(base | 1, limit + 1, 2)])
+    assert len(t.words) == -(-len(flags) // 64)
     want = np.zeros(len(t.words) * 64, dtype=bool)
     want[: len(flags)] = flags
     assert np.array_equal(t.words, np.packbits(want, bitorder="little").view("<u8"))
-    assert t.primes().tolist() == [n for n in range(base, limit + 1) if flags[n - base]]
+    assert t.primes().tolist() == [n for n in range(base, limit + 1) if _trial_is_prime(n)]
+
+
+@pytest.mark.parametrize("base, limit", [(0, 0), (0, 1), (2, 2), (0, 127), (0, 128), (1, 128),
+                                         (0, 129), (3, 130), (64, 191), (10 ** 6 + 3, 10 ** 6 + 700)])
+def test_table_words_hold_the_odd_n(base, limit):
+    n_odd = sum(n % 2 for n in range(base, limit + 1))
+    t = sieve_range(base, limit)
+    assert t.words.nbytes == 8 * math.ceil(n_odd / 64)
+    assert t.count() == sum(_trial_is_prime(n) for n in range(base, limit + 1))
 
 
 def test_sieve_range_odd_base_matches_base_zero(monkeypatch):
@@ -205,10 +215,11 @@ def test_save_load_roundtrip(tmp_path):
     assert (u.base, u.limit) == (10, 5000)
     assert np.array_equal(u.words, t.words)
     raw = path.read_bytes()
-    assert raw[:4] == b"PKT1"
+    assert raw[:4] == b"PKT2"
     assert struct.unpack("<QQ", raw[4:20]) == (10, 5000)
-    # bit j of word w flags base + 64w + j
-    w, j = divmod(1009 - 10, 64)
+    assert len(raw) == 20 + 8 * math.ceil(2495 / 64)  # the 2495 odd n in [11, 4999]
+    # bit j of word w flags the odd n = (base | 1) + 2 (64w + j)
+    w, j = divmod((1009 - 11) // 2, 64)
     word = struct.unpack_from("<Q", raw, 20 + 8 * w)[0]
     assert (word >> j) & 1 == 1
     assert u.is_prime(1009)

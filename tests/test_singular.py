@@ -127,7 +127,7 @@ def test_prime_factors_seeded_batch_with_large_semiprimes():
     assert _prime_factors(many) == [want[d] for d in many.tolist()]
 
 
-def test_prime_factors_fixed_cases():
+def test_prime_factors_fixed_cases(monkeypatch):
     ds = [1, 2, 2 ** 22 - 1, 2 ** 22, 2 ** 22 + 1, 9699690, 2 * 10007 * 10009, 2 ** 40 - 87]
     got = _prime_factors(ds)
     assert got == [_trial_division_primes(d) for d in ds]
@@ -137,9 +137,15 @@ def test_prime_factors_fixed_cases():
     for bad in ([0], [5, -3]):
         with pytest.raises(ValueError):
             _prime_factors(bad)
-    # a difference above 10^14 would need the primes past 10^7 first
-    with pytest.raises(ResourceError, match="10\\^7"):
-        _prime_factors([6, (10 ** 7 + 1) ** 2])
+    # a difference above 10^16 would need the primes past the 10^8 prime budget;
+    # primes_upto refuses them before any sieving
+
+    def never(lo, hi):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(primes, "_segments", never)
+    with pytest.raises(ResourceError, match="prime budget"):
+        _prime_factors([6, (10 ** 8 + 7) ** 2])
 
 
 # -- local factors ------------------------------------------------------
