@@ -39,22 +39,22 @@ class EstimateWithError:
     workers: int = 1
 
 
-def tkh_exact(k, h, budget=DEFAULT_BUDGET):
+def tkh_exact(k, h):
     """T_k(h) = k! sum over 0 < d_2 < ... < d_k < h of (h - d_k) S({0, d_2, ..., d_k}).
 
     The C(h-1,k-1) anchored rows are streamed in blocks of at most 2^14.
     The reported error is k! times the larger of the weighted radii and
     C(h,k) * PER_TUPLE_ERROR. Raises ResourceError if the anchored rows
-    exceed the budget.
+    exceed DEFAULT_BUDGET.
     """
     if k < 1 or h < 1:
         raise ValueError("need k >= 1 and h >= 1")
     if k > h:
         return ValueWithError(0.0, 0.0)
     n_rows = math.comb(h - 1, k - 1)
-    if n_rows > budget:
+    if n_rows > DEFAULT_BUDGET:
         raise ResourceError(
-            f"C(h-1,k-1) = {n_rows} anchored rows exceed budget {budget}; "
+            f"C(h-1,k-1) = {n_rows} anchored rows exceed budget {DEFAULT_BUDGET}; "
             f"use tkh_monte_carlo"
         )
     if k == 1:

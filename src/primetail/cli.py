@@ -4,8 +4,8 @@ Every run writes one JSON header line echoing the resolved configuration,
 then one record per line: JSON objects, or tab-separated rows behind
 '#'-prefixed header lines with --format tsv. Floats are printed to 12
 significant digits through one code path, so identical invocations give
-byte-identical output. Exit codes: 0 ok, 2 bad usage, 3 resource budget
-or out of memory.
+byte-identical output. Exit codes: 0 ok, 2 bad usage, 3 resource budget,
+out of memory or a result past the float range.
 """
 
 import argparse
@@ -20,7 +20,7 @@ from .hl import hl_sweep
 from .moments import moment_report, tail_report
 from .primes import PrimalityTable, primes_upto, sieve_range, window_counts
 from .selberg import gamma_cross_check, sieve_report
-from .singular import Tuple, is_admissible, jensen_split_bound, singular_series
+from .singular import Tuple, jensen_split_bound, singular_series
 
 
 def _jdump(obj):
@@ -91,14 +91,7 @@ def _resolve_h(args):
 def _cmd_singular(args):
     H = Tuple.parse(args.tuple)
     sv = singular_series(H, target_error=args.error)
-    rec = {
-        "tuple": str(H),
-        "k": H.k,
-        "value": sv.value,
-        "error_radius": sv.error_radius,
-        "prime_limit": sv.prime_limit,
-        "admissible": is_admissible(H),
-    }
+    rec = {"tuple": str(H), "k": H.k, **_row(sv), "admissible": sv.value > 0}
     if args.jensen:
         rec["jensen_bound"] = jensen_split_bound(H) if H.k >= 2 else 1.0
     config = {"tuple": str(H), "error": args.error}
@@ -288,6 +281,9 @@ def main(argv=None):
         return args.func(args)
     except (ResourceError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 3
+    except OverflowError as e:
+        print(f"error: a result is past the float range ({e})", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

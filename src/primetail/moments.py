@@ -149,11 +149,17 @@ class TailReport:
     corollary_bound_eff: float | None
 
 
+def _lambdas(hist):
+    """(lambda, lambda_eff) = (h / log x, m_1) of a window histogram; needs x >= 2."""
+    if hist.x < 2:
+        raise ValueError(f"need x >= 2 for lambda = h / log x, got x = {hist.x}")
+    return hist.h / math.log(hist.x), empirical_moment(hist, 1)
+
+
 def moment_report(hist, r):
     """Empirical m_r against the Poisson prediction at lambda and lambda_eff."""
     x, h = hist.x, hist.h
-    lam = h / math.log(x)
-    lam_eff = empirical_moment(hist, 1)
+    lam, lam_eff = _lambdas(hist)
     emp = empirical_moment(hist, r)
     pred = predicted_moment(r, lam)
     pred_eff = predicted_moment(r, lam_eff)
@@ -162,12 +168,10 @@ def moment_report(hist, r):
 
 def tail_report(hist, k):
     """Tail and exact window counts at level k with their Poisson analogues."""
-    x, h = hist.x, hist.h
-    lam = h / math.log(x)
-    lam_eff = empirical_moment(hist, 1)
+    lam, lam_eff = _lambdas(hist)
     return TailReport(
-        x,
-        h,
+        hist.x,
+        hist.h,
         lam,
         lam_eff,
         k,

@@ -23,19 +23,19 @@ log = logging.getLogger(__name__)
 # |D_H| enters only through log log(3 |D_H|); cap it in log space
 _LOG_DH_CAP = 700.0
 _G_BLOCK = 1 << 16  # d per block of the G(z) sieve
-_NU_SLICE = 1 << 16  # residues per slice of the nu table, whatever k is
 
 
 def _nu_table(H, z):
-    """(primes p < z, nu_H(p)) as parallel arrays; nu is taken over slices of primes."""
+    """(primes p < z, nu_H(p)) as parallel arrays; nu is k at each p dividing no difference."""
     if z < 2:
         raise ValueError("need z >= 2")
+    H = as_tuple(H)
+    # the differences are factored before any sieving: a span past the prime budget fails here
+    fs = sorted({p for f in _prime_factors(H.pairwise_diffs()) for p in f if p < z})
     ps = primes_upto(z - 1)
-    offs = _anchored(as_tuple(H))[:, None]
-    step = max(1, _NU_SLICE // len(offs))
-    nus = np.empty_like(ps)
-    for i in range(0, len(ps), step):
-        nus[i : i + step] = _nu_rows(offs, ps[i : i + step], axis=0)
+    nus = np.full_like(ps, H.k)
+    at = np.searchsorted(ps, fs)
+    nus[at] = _nu_rows(_anchored(H)[:, None], ps[at], axis=0)
     return ps, nus
 
 
@@ -47,15 +47,12 @@ def g_value(d, H):
     if d < 1:
         raise ValueError("need d >= 1")
     H = as_tuple(H)
-    if d == 1:
-        return 1.0
+    fs = _prime_factors([d])[0]
+    if math.prod(fs) != d:  # the distinct primes of d multiply to d iff d is squarefree
+        raise ValueError(f"{d} is not squarefree")
     out = 1.0
-    m = d
     offs = _anchored(H)
-    for p in _prime_factors([d])[0]:
-        m //= p
-        if m % p == 0:
-            raise ValueError(f"{d} is not squarefree")
+    for p in fs:
         nu = int(_nu_rows(offs, p))
         if nu == p:
             raise InadmissibleModulusError(f"nu({p}) = {p}: weight undefined")
@@ -100,6 +97,11 @@ def _G(z, ps, nus):
     return math.fsum(parts)
 
 
+def _raw_bound(x, z, G, W):
+    """x/G(z) + z^2/W(z)^3, the raw sieve bound on hits up to x; inf once W^3 is 0.0."""
+    return x / G + z * z / W ** 3 if W ** 3 > 0.0 else math.inf
+
+
 def _W(ps, nus):
     """W(z) from the nu table of the primes below z, left to right."""
     return math.prod(((ps - nus) / ps).tolist(), start=1.0)
@@ -141,7 +143,7 @@ def sieve_upper_bound(H, x, z):
         raise ValueError("need x >= 1")
     nu = _nu_table(H, z)
     W = _positive_W(*nu)
-    return x / _G(z, *nu) + z * z / W ** 3
+    return _raw_bound(x, z, _G(z, *nu), W)
 
 
 def theorem_bound(H, x, epsilon):
@@ -244,7 +246,7 @@ def sieve_report(H, x, z=None, epsilon=None, table=None):
     actual = count_tuple_hits(table, H, x)
     nu = _nu_table(H, z)
     W, G = _W(*nu), _G(z, *nu)
-    raw = x / G + z * z / W ** 3 if W > 0.0 else math.inf
+    raw = _raw_bound(x, z, G, W)
     thm = theorem_bound(H, x, eps_for_bound)
     alpha1, L = omega_constants(H)
     correction = (math.log(math.log(3.0 * x)) + k ** 3 + L) / math.log(x)

@@ -185,18 +185,17 @@ def residue_classes(H, p):
     return int(_nu_rows(_anchored(as_tuple(H)), p))
 
 
-def local_factor(p, nu, k):
-    """(1 - nu/p) / (1 - 1/p)^k, exactly 0.0 when nu = p.
+def _local_factor(p, nu, k):
+    """(p-nu) p^(k-1) / (p-1)^k, an integer ratio Python rounds correctly; 0.0 at nu = p."""
+    return (p - nu) * p ** (k - 1) / (p - 1) ** k
 
-    Evaluated as the integer ratio (p-nu) p^(k-1) / (p-1)^k, which Python
-    rounds correctly, so the result is the nearest float to the true value.
-    """
+
+def local_factor(p, nu, k):
+    """(1 - nu/p) / (1 - 1/p)^k as the nearest float, exactly 0.0 when nu = p."""
     _require_prime(p)
     if not 1 <= nu <= min(k, p):
         raise ValueError(f"need 1 <= nu <= min(k, p); got nu={nu}, p={p}, k={k}")
-    if nu == p:
-        return 0.0
-    return (p - nu) * p ** (k - 1) / (p - 1) ** k
+    return _local_factor(p, nu, k)
 
 
 def tail_log_bound(k, P):
@@ -238,8 +237,6 @@ def singular_series(H, target_error=1e-9):
     if target_error is not None and target_error <= 0:
         raise ValueError("target_error must be positive")
     k = H.k
-    if k <= 1:
-        return SingularSeriesValue(1.0, 0.0, 2)
     value, radius, plimit = (a[0].item() for a in singular_series_block(_anchored(H)[None]))
     if target_error is not None and radius > target_error:
         need = 4 * k * k * max(value, 1.0) / target_error
@@ -263,18 +260,18 @@ def singular_series_block(rows):
     The factors at p <= k come first and leave inadmissible rows at 0.0 with
     radius 0; only the other rows have their differences factored, and get
     nu_H(p) at the primes p > k found there. A row's prime limit is the
-    largest of 2k^2 and those primes, so inadmissible rows report 2k^2. Rows
+    largest of 2, 2k^2 and those primes, so inadmissible rows report 2k^2. Rows
     do not affect each other, and log/exp go through math so that no value
     depends on NumPy's SIMD build.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n, k = rows.shape
-    values, radii, limits = np.ones(n), np.zeros(n), np.full(n, 2 * k * k)
+    values, radii, limits = np.ones(n), np.zeros(n), np.full(n, max(2, 2 * k * k))
     if k <= 1:
         return values, radii, limits
     small = primes_upto(k)
     for p, nu in zip(small.tolist(), _nu_rows(rows[:, :, None], small, axis=1).T):
-        values *= np.array([(p - v) * p ** (k - 1) / (p - 1) ** k for v in range(p + 1)])[nu]
+        values *= np.array([_local_factor(p, v, k) for v in range(p + 1)])[nu]
     live = np.flatnonzero(values)
     if len(live) == 0:
         return values, radii, limits

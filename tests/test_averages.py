@@ -98,13 +98,16 @@ def test_exact_matches_sum_over_all_subsets():
         assert got.error == kf * max(sum(s.error_radius for s in sv), len(subsets) * 1e-10)
 
 
-def test_budget_raises_with_hint():
+def test_budget_raises_with_hint(monkeypatch):
     with pytest.raises(ResourceError, match="monte_carlo"):
         tkh_exact(10, 100)
     # the budget counts the C(h-1,k-1) anchored rows evaluated
-    assert tkh_exact(3, 10, budget=math.comb(9, 2)).value > 0
+    monkeypatch.setattr(averages, "DEFAULT_BUDGET", math.comb(9, 2))
+    assert tkh_exact(3, 10).value > 0
+    monkeypatch.setattr(averages, "DEFAULT_BUDGET", math.comb(9, 2) - 1)
     with pytest.raises(ResourceError, match="monte_carlo"):
-        tkh_exact(3, 10, budget=math.comb(9, 2) - 1)
+        tkh_exact(3, 10)
+    monkeypatch.undo()
     assert tkh_exact(2, 10 ** 4).value > 0  # 9999 rows, while 2 C(h,2) > 10^7
 
 

@@ -410,6 +410,35 @@ def test_window_below_one_exits_2_naming_h(capsys, argv):
     assert err.startswith("error: need h >= 1") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("moments", "--r-max", "1"), ("tail", "--k-max", "1")])
+def test_window_x_below_2_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--x", "1", "--h", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need x >= 2") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the local factor 2^(k-1) at p = 2 leaves the float range
+        ("singular", "--tuple", ",".join(str(t) for t in range(0, 2200, 2))),
+        ("tkh", "--k", "1100", "--h", "1200", "--mode", "mc", "--samples", "100"),
+        # k! C(h, k) times the mean
+        ("tkh", "--k", "300", "--h", "400", "--mode", "mc", "--samples", "100"),
+        # Poisson moments via Stirling numbers
+        ("moments", "--x", "100000", "--lambda", "1", "--r-max", "400"),
+        ("moments", "--x", "1000", "--h", "50000", "--r-max", "90"),
+    ],
+    ids=["singular-k1100", "tkh-k1100", "tkh-k300", "moments-r400", "moments-h50000"],
+)
+def test_float_overflow_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: a result is past the float range") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("sweep", ["10:5", "10:5:1", "1:2:3:4", "10:20:0"])
 def test_hl_bad_sweep_exits_2(capsys, sweep):
     code, out, err = run_cli(capsys, "hl", "--tuple", "0,2", "--x", "100", "--sweep", sweep)

@@ -225,3 +225,11 @@ def test_tail_report_composition(table_1e6):
     zero = tail_report(hist, 0)
     assert zero.corollary_bound is None
     assert zero.I_count == 1000
+
+
+def test_reports_refuse_x_below_2(table_1e6):
+    # lambda = h / log x divides by log 1 = 0
+    hist = window_counts(table_1e6, 1, 5)
+    for report, i in ((moment_report, 1), (tail_report, 0)):
+        with pytest.raises(ValueError, match="need x >= 2"):
+            report(hist, i)

@@ -22,7 +22,6 @@ from primetail import (
 from primetail import primes, selberg
 from primetail.errors import InadmissibleModulusError, ResourceError
 from primetail.primes import primes_upto
-from primetail.singular import _anchored, _nu_rows
 
 TWIN = Tuple.parse("0,2")
 
@@ -136,12 +135,13 @@ def test_big_W_equals_left_to_right_loop():
     assert big_W(10 ** 6, Tuple.parse("0,2,6")) == 0.0001918243800530447
 
 
-def test_nu_table_slices_match_whole_rows(monkeypatch):
-    monkeypatch.setattr(selberg, "_NU_SLICE", 7)  # slices of 1 prime at k = 10, 3 at k = 2
-    for H in (TWIN, Tuple.parse("0,2,6,8,12,18,20,26,30,32"), Tuple.parse("0,1,2")):
+def test_nu_table_counts_residues_at_every_prime():
+    # 12018 = 2 * 3 * 2003 has prime factors on both sides of z = 2000
+    for text in ("0,2", "0,2,6,8,12,18,20,26,30,32", "0,1,2", "0,6,12018"):
+        H = Tuple.parse(text)
         ps, nus = selberg._nu_table(H, 2000)
         assert ps.tolist() == primes_upto(1999).tolist()
-        assert nus.tolist() == _nu_rows(_anchored(H)[:, None], ps, axis=0).tolist()
+        assert nus.tolist() == [_nu(H, p) for p in ps.tolist()], text
 
 
 def test_nu_table_memory_sliced():
@@ -168,6 +168,19 @@ def test_prime_budget_refused_before_sieving(monkeypatch):
             fn(z, TWIN)
     with pytest.raises(ResourceError, match="budget"):
         gamma_cross_check(TWIN, z)
+
+
+def test_huge_span_refused_before_sieving(monkeypatch):
+    # the difference 2 (10^8 + 7)^2 needs primes up to 1.4 * 10^8 to factor
+    def never(lo, hi):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(primes, "_segments", never)
+    H = Tuple((0, 2 * (10 ** 8 + 7) ** 2))
+    for call in (big_G, big_W, lambda z, H: gamma_cross_check(H, z),
+                 lambda z, H: omega2_deviation(H, 2, z)):
+        with pytest.raises(ResourceError, match="prime budget"):
+            call(100, H)
 
 
 def test_one_nu_table_per_z(monkeypatch):
@@ -198,6 +211,14 @@ def test_sieve_upper_bound_composes():
     got = sieve_upper_bound(TWIN, 10 ** 6, 10)
     assert got == 10 ** 6 / big_G(10, TWIN) + 100 / big_W(10, TWIN) ** 3
     assert got == pytest.approx(10 ** 6 / (106 / 15) + 100 * 14 ** 3, rel=1e-12)
+
+
+def test_raw_bound_is_inf_once_W_cubed_underflows(table_1e6):
+    # W(10^5) = 2.1e-125 for these 200 offsets, so W^3 is 0.0 in floats
+    H = Tuple(tuple(p for p in primes_upto(3000).tolist() if p > 200)[:200])
+    assert 0.0 < big_W(10 ** 5, H) < 1e-120
+    assert sieve_upper_bound(H, 10 ** 4, 10 ** 5) == math.inf
+    assert sieve_report(H, 10 ** 4, z=10 ** 5, table=table_1e6).raw_bound == math.inf
 
 
 def test_sieve_upper_bound_inadmissible():

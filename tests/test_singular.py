@@ -224,9 +224,10 @@ def test_tail_log_bound_dominates_true_tail():
 
 
 def test_singleton_and_empty():
-    sv = singular_series(Tuple((5,)))
-    assert (sv.value, sv.error_radius) == (1.0, 0.0)
-    assert singular_series(()).value == 1.0
+    # k <= 1 goes through the block kernel, whose prime limit is max(2, 2k^2)
+    for H in (Tuple((5,)), ()):
+        sv = singular_series(H)
+        assert (sv.value, sv.error_radius, sv.prime_limit) == (1.0, 0.0, 2)
 
 
 def test_inadmissible_is_exact_zero():
