@@ -6,9 +6,9 @@ readers add 2. Window counts and the one tuple pass (hits and Lambda sums)
 stream the table in chunks, never more than a few million unpacked flags at
 once; past the unpack, a chunk of window counts costs O(primes in it), not
 O(chunk). Every list of small primes in the package (sieving primes,
-factoring, local factors, sieve weights) comes from the one growing cache
-primes_upto. One segmented Eratosthenes pass over odd n, _segments, grows
-that cache and fills the tables with the flags it sieves.
+factoring, local factors, sieve weights) comes from primes_upto, which sieves
+afresh on each call. One segmented Eratosthenes pass over odd n, _segments,
+makes those lists and fills the tables with the flags it sieves.
 """
 
 import math
@@ -22,10 +22,7 @@ from .errors import CoverageError, ResourceError
 _MAGIC = b"PKT2"
 _SEGMENT = 1 << 20  # odd-n flags per sieve segment; a multiple of 8, so each packs into whole bytes
 _CHUNK = 1 << 20  # n per block of the streaming passes; below 2^30 so window keys fit int32
-_PRIME_BUDGET = 10 ** 8  # primes_upto refuses n above it, and its cache never grows past it
-
-
-_primes, _cap = np.array([2], dtype=np.int64), 2  # the one even prime: _segments sieves odd n
+_PRIME_BUDGET = 10 ** 8  # primes_upto refuses n above it
 
 
 def _segments(lo, hi):
@@ -42,21 +39,16 @@ def _segments(lo, hi):
 
 
 def primes_upto(n):
-    """Sorted int64 array of the primes <= n, read off one shared cache.
+    """Sorted int64 array of the primes <= n, sieved afresh by _segments; the caller owns it.
 
-    The cache grows by at least doubling, up to _PRIME_BUDGET, through the
-    segmented pass that sieve_range packs; callers get a view into it and must
-    not mutate it. An n above the budget raises ResourceError before any sieving.
+    An n above _PRIME_BUDGET raises ResourceError before any sieving.
     """
-    global _primes, _cap
     if n > _PRIME_BUDGET:
         raise ResourceError(f"primes up to {n} exceed the prime budget {_PRIME_BUDGET}")
-    if n > _cap:
-        top = max(n, min(2 * _cap, _PRIME_BUDGET))
-        primes_upto(math.isqrt(top))  # the sieving primes first: this may grow _cap
-        found = [np.flatnonzero(seg) * 2 + (seg_lo + 1) for seg_lo, seg in _segments(_cap + 1, top)]
-        _primes, _cap = np.concatenate([_primes, *found]), top
-    return _primes[: np.searchsorted(_primes, n, side="right")]
+    if n < 9:  # no odd prime sieves below 9: the base case of _segments' recursion
+        return np.array([p for p in (2, 3, 5, 7) if p <= n], dtype=np.int64)
+    found = [np.flatnonzero(seg) * 2 + (seg_lo + 1) for seg_lo, seg in _segments(0, n)]
+    return np.concatenate([[2], *found])
 
 
 def _n_words(base, limit):

@@ -20,8 +20,6 @@ from .singular import as_tuple, singular_series, Tuple, _anchored, _nu_rows, _pr
 
 log = logging.getLogger(__name__)
 
-# |D_H| enters only through log log(3 |D_H|); cap it in log space
-_LOG_DH_CAP = 700.0
 _G_BLOCK = 1 << 16  # d per block of the G(z) sieve
 
 
@@ -173,13 +171,13 @@ def _log_abs_dh(H):
 
 
 def omega_constants(H):
-    """(alpha_1, L) = (k + 1, k log log(3 min(|D_H|, cap))).
+    """(alpha_1, L) = (k + 1, k log log(3 |D_H|)).
 
-    |D_H| is handled entirely in log space so huge tuples cannot overflow.
+    log(3 |D_H|) is summed in log space, so no |D_H| overflows.
     """
     H = as_tuple(H)
     k = H.k
-    inner = math.log(3.0) + min(_log_abs_dh(H), _LOG_DH_CAP)
+    inner = math.log(3.0) + _log_abs_dh(H)
     return k + 1, k * math.log(inner)
 
 
@@ -238,6 +236,8 @@ def sieve_report(H, x, z=None, epsilon=None, table=None):
         raise ValueError("give exactly one of z and epsilon")
     if x < 16:
         raise ValueError("need x >= 16")
+    if epsilon is not None and not epsilon > 0:
+        raise ValueError("need epsilon > 0")
     eps_for_bound = epsilon if epsilon is not None else 0.1
     if z is None:
         z = max(2, round(x ** (1.0 / (2.0 + epsilon))))

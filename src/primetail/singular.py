@@ -165,8 +165,7 @@ def _kdata(k):
     """(log of the generic tail prod_{p>k} f_k(p), a bound on its error).
 
     The primes k < p <= boundary are summed in order by np.cumsum, the rest
-    come from the prime-zeta series, so nothing depends on how far the prime
-    cache has grown.
+    come from the prime-zeta series.
     """
     boundary = max(1000, 4 * k * k)
     logf = _log_f(k, primes_upto(boundary))

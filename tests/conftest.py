@@ -1,25 +1,7 @@
 import mpmath
-import numpy as np
 import pytest
 
-from primetail import primes, sieve_range
-
-
-@pytest.fixture
-def fresh_prime_cache(monkeypatch):
-    """Empty the shared small-prime cache to its import state, [2] up to 2.
-
-    monkeypatch restores the shared cache at teardown, so a test that grows
-    it, or shrinks the prime budget, leaves nothing behind for the next one.
-    The fixture's value empties the cache again when called.
-    """
-
-    def empty():
-        monkeypatch.setattr(primes, "_primes", np.array([2], dtype=np.int64))
-        monkeypatch.setattr(primes, "_cap", 2)
-
-    empty()
-    return empty
+from primetail import sieve_range
 
 
 @pytest.fixture(scope="session")

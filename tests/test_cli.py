@@ -264,6 +264,14 @@ def test_selberg_z_epsilon_exclusive(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("epsilon", ["-2", "-1.9", "-1", "0"])
+def test_selberg_epsilon_not_positive_exits_2(capsys, epsilon):
+    code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "100", f"--epsilon={epsilon}")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need epsilon > 0\n"
+
+
 def test_sieve_cache_workflow(tmp_path, capsys):
     path = str(tmp_path / "t.pkt")
     code, out, _ = run_cli(capsys, "sieve-cache", "--limit", "100000", "--out", path)

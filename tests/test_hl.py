@@ -224,7 +224,7 @@ def test_tuple_pass_block_edges(chunk, monkeypatch):
 
 def test_hl_memory_bounded_by_chunk(table_1e7):
     H = Tuple.parse("0,2")
-    hl_error(H, 1000, table_1e7)  # warm the prime caches outside the measurement
+    hl_error(H, 1000, table_1e7)  # the per-k singular-series tail outside the measurement
     peaks = []
     for x in (_CHUNK, 2 * _CHUNK):
         tracemalloc.start()

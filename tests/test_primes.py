@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primetail import PrimalityTable, count_tuple_hits, primes, sieve_range, window_counts
+from primetail import (
+    PrimalityTable,
+    Tuple,
+    count_tuple_hits,
+    primes,
+    sieve_range,
+    singular_series,
+    window_counts,
+)
 from primetail.errors import CoverageError, ResourceError
 
 
@@ -127,18 +135,19 @@ def test_primes_every_parity_of_lo_and_hi(base):
             assert got.tolist() == [p for p in trial if lo <= p <= hi], (lo, hi)
 
 
-def test_primes_upto_bootstrap_and_segment_edges(monkeypatch, fresh_prime_cache):
+def test_primes_upto_bootstrap_and_segment_edges(monkeypatch):
     monkeypatch.setattr(primes, "_SEGMENT", 32)  # 32 odd flags span 64 integers
     trial = [n for n in range(600) if _trial_is_prime(n)]
     for n in range(600):
-        fresh_prime_cache()
         assert primes.primes_upto(n).tolist() == [p for p in trial if p <= n], n
-    # one growth from a non-empty cache: (100, 300] crosses segment edges at 164, 228, 292
-    fresh_prime_cache()
-    primes.primes_upto(100)
-    assert primes._cap == 100
-    assert primes.primes_upto(300).tolist() == [p for p in trial if p <= 300]
-    assert primes._cap == 300
+
+
+def test_primes_upto_returns_an_array_the_caller_owns():
+    want = singular_series(Tuple.parse("0,2,6"))
+    a = primes.primes_upto(100)
+    a[1] = 4
+    assert primes.primes_upto(10).tolist() == [2, 3, 5, 7]
+    assert singular_series(Tuple.parse("0,2,6")) == want
 
 
 def test_primes_upto_pi_values():
@@ -146,7 +155,7 @@ def test_primes_upto_pi_values():
     assert len(primes.primes_upto(10 ** 7)) == 664579
 
 
-def test_primes_upto_memory_bounded(fresh_prime_cache):
+def test_primes_upto_memory_bounded():
     # segments of flags are freed as they go; the peak is the output and its concatenation
     tracemalloc.start()
     try:
@@ -167,18 +176,11 @@ def test_primes_upto_refuses_past_budget_before_sieving(monkeypatch):
         primes.primes_upto(n)
 
 
-def test_prime_cache_never_grows_past_budget(monkeypatch, fresh_prime_cache):
+def test_primes_upto_at_the_budget_edge(monkeypatch):
     monkeypatch.setattr(primes, "_PRIME_BUDGET", 1000)
-    trial = [n for n in range(1001) if _trial_is_prime(n)]
-    primes.primes_upto(600)
-    assert primes._cap == 600
-    # doubling would reach 1200; the growth stops at the budget
-    assert primes.primes_upto(700).tolist() == [p for p in trial if p <= 700]
-    assert primes._cap == 1000
-    assert primes.primes_upto(1000).tolist() == trial
+    assert primes.primes_upto(1000).tolist() == [n for n in range(1001) if _trial_is_prime(n)]
     with pytest.raises(ResourceError):
         primes.primes_upto(1001)
-    assert primes._cap == 1000
 
 
 def test_count_matches_enumeration(table_1e6):

@@ -4,6 +4,7 @@ import logging
 import math
 import tracemalloc
 
+import mpmath
 import pytest
 
 from primetail import (
@@ -146,14 +147,13 @@ def test_nu_table_counts_residues_at_every_prime():
 
 def test_nu_table_memory_sliced():
     H = Tuple.parse("0,2,6,8,12,18,20,26,30,32")
-    primes_upto(10 ** 6)  # the shared prime cache is not the table's to count
     tracemalloc.start()
     try:
         ps, nus = selberg._nu_table(H, 10 ** 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # nus is 0.6 MB; a (10, 78498) residue array and its sort took 12.7 MB
+    # ps and nus are 0.6 MB each; a (10, 78498) residue array and its sort took 12.7 MB
     assert peak <= 4 * 2 ** 20, peak
 
 
@@ -287,6 +287,15 @@ def test_omega_constants_huge_span_capped():
     assert math.isfinite(L)
 
 
+def test_omega_constants_past_float_range_match_mpmath():
+    # k = 40 and log |D_H| = 3583.4: |D_H| itself is far past the float range
+    H = Tuple(tuple(range(0, 400, 10)))
+    with mpmath.workdps(30):
+        dh = mpmath.fprod(H.pairwise_diffs())
+        want = float(H.k * mpmath.log(mpmath.log(3 * dh)))
+    assert omega_constants(H) == (41, pytest.approx(want, rel=1e-12))
+
+
 def test_omega2_deviation_direct():
     H = Tuple.parse("0,2,6")
     w, z = 10, 500
@@ -310,6 +319,17 @@ def test_gamma_cross_check_guards():
         gamma_cross_check(TWIN, 15)
     with pytest.raises(InadmissibleModulusError):
         gamma_cross_check(Tuple.parse("0,1"), 100)
+
+
+@pytest.mark.parametrize("epsilon", [-2.0, -1.9, -1.0, 0.0])
+def test_sieve_report_refuses_epsilon_before_counting(monkeypatch, epsilon):
+    def never(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(selberg, "count_tuple_hits", never)
+    monkeypatch.setattr(selberg, "_nu_table", never)
+    with pytest.raises(ValueError, match=r"need epsilon > 0"):
+        sieve_report(TWIN, 100, epsilon=epsilon)
 
 
 def test_sieve_report_composition(table_1e6):
