@@ -66,8 +66,12 @@ def tkh_exact(k, h):
         weights = h - ds[:, -1]
         total += float(weights @ vals)
         radii += float(weights @ rads)
+    # k! scales each sum's exact ratio and int division rounds once, so a value or error in
+    # the float range survives any k; C(h,k) <= h C(h-1,k-1) stays far inside it under the budget
     kf = math.factorial(k)
-    return ValueWithError(kf * total, kf * max(radii, math.comb(h, k) * PER_TUPLE_ERROR))
+    tn, td = total.as_integer_ratio()
+    en, ed = max(radii, math.comb(h, k) * PER_TUPLE_ERROR).as_integer_ratio()
+    return ValueWithError(kf * tn / td, kf * en / ed)
 
 
 def tkh_pair_fast(h):

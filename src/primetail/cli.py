@@ -18,7 +18,7 @@ from .averages import tkh_exact, tkh_monte_carlo
 from .errors import ResourceError
 from .hl import hl_sweep
 from .moments import moment_report, tail_report
-from .primes import PrimalityTable, primes_upto, sieve_range, window_counts
+from .primes import PrimalityTable, check_prime_budget, sieve_range, window_counts
 from .selberg import gamma_cross_check, sieve_report
 from .singular import Tuple, jensen_split_bound, singular_series
 
@@ -117,8 +117,11 @@ def _cmd_tkh(args):
         # T_k(h) = k! C(h,k) * mean of S over uniform sorted k-subsets
         scale = math.factorial(k) * math.comb(h, k)
     config = {"threads": args.threads, "k": k, "h": h, "mode": mode, "samples": samples, "seed": seed}
+    # normalized <= mean is rounded once from the exact ratio, by int division: neither h^k
+    # nor T_k(h) has to fit a float for it to print
+    num, den = mean.as_integer_ratio()
     rec = {"k": k, "h": h, "mode": mode, "value_or_mean": mean, "error": error,
-           "samples": samples, "seed": seed, "normalized": scale * mean / float(h) ** k}
+           "samples": samples, "seed": seed, "normalized": scale * num / (den * h ** k)}
     if mode == "mc":
         rec |= {"tkh_estimate": scale * mean, "workers": est.workers}
     _emit(args, config, list(rec), [rec])
@@ -161,7 +164,7 @@ def _cmd_selberg(args):
         raise ValueError("give exactly one of --z and --epsilon")
     gamma_zs = [int(v) for v in args.gamma_table.split(",")] if args.gamma_table else []
     # the report needs the primes below each z; a z past the prime budget fails before the table loads
-    primes_upto(max([args.z or 2, *gamma_zs]) - 1)
+    check_prime_budget(max([args.z or 2, *gamma_zs]) - 1)
     table = _load_table(args, args.x + H.offsets[-1] + 1)
     rep = sieve_report(H, args.x, z=args.z, epsilon=args.epsilon, table=table)
     config = {

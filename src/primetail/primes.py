@@ -4,11 +4,15 @@ The table stores one bit per odd integer, 64 per little-endian word, so the
 range to 10^8 fits in ~6 MB and popcounts come straight off the words; its
 readers add 2. Window counts and the one tuple pass (hits and Lambda sums)
 stream the table in chunks, never more than a few million unpacked flags at
-once; past the unpack, a chunk of window counts costs O(primes in it), not
-O(chunk). Every list of small primes in the package (sieving primes,
-factoring, local factors, sieve weights) comes from primes_upto, which sieves
-afresh on each call. One segmented Eratosthenes pass over odd n, _segments,
-makes those lists and fills the tables with the flags it sieves.
+once. Past the unpack, a chunk of window counts costs one pass over its
+primes per tail level G_k = #{n : c(n) >= k}: on the gap between consecutive
+primes q_i <= n < q_{i+1}, c(n) >= k exactly when n >= q_{i+k} - floor(h).
+Every list of small primes in the package (sieving primes, factoring, local
+factors, sieve weights) comes from primes_upto, which sieves afresh on each
+call. One segmented Eratosthenes pass over odd n, _segments, makes those
+lists and fills the tables with the flags it sieves; each segment starts
+from a copy of the odd flags presieved by 3, 5, 7, 11 and 13 (Pritchard's
+wheel), and the larger primes cross out the rest.
 """
 
 import math
@@ -21,20 +25,47 @@ from .errors import CoverageError, ResourceError
 
 _MAGIC = b"PKT2"
 _SEGMENT = 1 << 20  # odd-n flags per sieve segment; a multiple of 8, so each packs into whole bytes
-_CHUNK = 1 << 20  # n per block of the streaming passes; below 2^30 so window keys fit int32
+_CHUNK = 1 << 20  # n per block of the streaming passes; below 2^31 so block-local levels fit int32
 _PRIME_BUDGET = 10 ** 8  # primes_upto refuses n above it
+_WHEEL = (3, 5, 7, 11, 13)  # presieved: each segment starts from a copy of their pattern
+_PERIOD = 15015  # odd flags per period of that pattern, 3 * 5 * 7 * 11 * 13
+
+
+def _wheel_pattern():
+    """Two periods of the odd flags with the multiples of _WHEEL crossed out, flag j for n = 2j + 1."""
+    flags = np.ones(2 * _PERIOD, dtype=bool)
+    for p in _WHEEL:
+        flags[p >> 1 :: p] = False
+    return flags
+
+
+_PATTERN = _wheel_pattern()
+
+
+def check_prime_budget(n):
+    """Raise ResourceError if primes up to n exceed _PRIME_BUDGET; primes_upto and the CLI call it."""
+    if n > _PRIME_BUDGET:
+        raise ResourceError(f"primes up to {n} exceed the prime budget {_PRIME_BUDGET}")
 
 
 def _segments(lo, hi):
     """Yield (even seg_lo, flags), flag i for the odd n = seg_lo + 2i + 1 in [lo, hi]."""
-    odd_primes = primes_upto(math.isqrt(hi))[1:].tolist()
+    ps = primes_upto(math.isqrt(hi))[1 + len(_WHEEL) :]  # past 2 and the wheel
+    half, square, plist = (ps + 1) >> 1, (ps * ps) >> 1, ps.tolist()
     for seg_lo in range(lo & ~1, hi + 1, 2 * _SEGMENT):
-        seg = np.ones((min(seg_lo + 2 * _SEGMENT - 1, hi) - seg_lo + 1) // 2, dtype=bool)
+        n = (min(seg_lo + 2 * _SEGMENT - 1, hi) - seg_lo + 1) // 2
+        j = (seg_lo >> 1) % _PERIOD
+        seg = _PATTERN[j : j + n].copy() if n <= _PERIOD else np.resize(_PATTERN[j : j + _PERIOD], n)
+        if seg_lo < _WHEEL[-1]:  # the pattern crossed out the wheel primes themselves
+            seg[[(p - seg_lo) >> 1 for p in _WHEEL if seg_lo < p < seg_lo + 2 * n]] = True
         if seg_lo == 0:
             seg[:1] = False  # 1 is not prime
-        for p in odd_primes:
-            start = max(p * p, ((seg_lo + p) // p | 1) * p)  # the first odd multiple past seg_lo
-            seg[(start - seg_lo) >> 1 :: p] = False
+        # flag i is p's multiple when 2i = -(seg_lo + 1) mod p, and (p + 1) / 2 inverts 2; the
+        # residue comes first so no product outgrows int64. Flag square - seg_lo / 2 is p^2,
+        # the first multiple p crosses out, so p itself stays
+        starts = np.maximum((-(seg_lo + 1) % ps) * half % ps, square - (seg_lo >> 1)).tolist()
+        for p, s in zip(plist, starts):
+            seg[s::p] = False
         yield seg_lo, seg
 
 
@@ -43,8 +74,7 @@ def primes_upto(n):
 
     An n above _PRIME_BUDGET raises ResourceError before any sieving.
     """
-    if n > _PRIME_BUDGET:
-        raise ResourceError(f"primes up to {n} exceed the prime budget {_PRIME_BUDGET}")
+    check_prime_budget(n)
     if n < 9:  # no odd prime sieves below 9: the base case of _segments' recursion
         return np.array([p for p in (2, 3, 5, 7) if p <= n], dtype=np.int64)
     found = [np.flatnonzero(seg) * 2 + (seg_lo + 1) for seg_lo, seg in _segments(0, n)]
@@ -182,9 +212,13 @@ def window_counts(table, x, h):
 
     Windows are half-open at the left, so for integer n they hold the
     integers n+1 .. n+floor(h). Requires the table to cover
-    [1, x + ceil(h)]. With m = floor(h), c(n) rises by one at n = p - m and
-    falls by one at n = p for each prime p, so each _CHUNK block of n is
-    binned by the lengths of the runs between these events.
+    [1, x + ceil(h)]. With m = floor(h), each _CHUNK block [a, b] of n is
+    counted by its tail levels G_k = #{n in [a, b] : c(n) >= k}: if
+    q_1 < q_2 < ... are the primes in (a, b + m], then on the gap
+    [S_i, E_i) = [q_i, min(q_{i+1}, b + 1)) (with S_0 = a) c(n) >= k
+    exactly when n >= q_{i+k} - m, so
+    G_k = sum_i max(0, min(E_i - S_i, E_i + m - q_{i+k})), and the levels
+    nest, so the first empty one ends the block. N_c = G_c - G_{c+1}.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -195,20 +229,37 @@ def window_counts(table, x, h):
     acc = np.zeros(m + 2, dtype=np.int64)
     for a in range(1, x + 1, _CHUNK):
         b = min(a + _CHUNK - 1, x)
-        ps = table.primes(a + 1, b + m) - a
-        # block-local keys: 2n for a rise at n = max(p - m, 0), 2n + 1 for a fall at
-        # n = min(p, b + 1 - a), all below 2 (_CHUNK + 1), so int32. Both runs are
-        # sorted, so the stable sort is one merge; a rise sorts before a fall at the
-        # same n, so c never dips below 0 (m = 0 ties every event)
-        keys = np.concatenate((np.maximum(ps - m, 0) * 2, np.minimum(ps, b + 1 - a) * 2 + 1)).astype(np.int32)
-        keys.sort(kind="stable")
-        runs = np.diff(keys >> 1, prepend=0, append=b + 1 - a)
-        c = np.concatenate(([0], np.cumsum(1 - 2 * (keys & 1))))
-        # float weights add exactly: a block holds at most _CHUNK <= 2^53 windows
-        acc += np.bincount(c, weights=runs, minlength=m + 2).astype(np.int64)
-        # no del: freeing a whole block at once lets malloc trim the heap the next block refaults
+        levels = _tail_levels(table.primes(a + 1, b + m) - a, b + 1 - a, m)
+        acc[: len(levels) - 1] -= np.diff(levels)
     counts = {int(c): int(n) for c, n in enumerate(acc) if n}
     return WindowHistogram(x, float(h), counts)
+
+
+def _tail_levels(qs, size, m):
+    """[G_0, G_1, ..., 0] for the windows at n = 0..size-1 given the primes qs in [1, size - 1 + m].
+
+    Every array is block-local and clipped into [0, size], so int32 is exact;
+    a q_{i+k} - m clipped to 0 leaves min(E_i - S_i, .) as it was, and one
+    clipped to size leaves the term <= 0. The arrays die on return, before
+    the next block's primes are built.
+    """
+    s = int(np.searchsorted(qs, size))  # the gaps [q_1, ..), .., [q_s, ..) start in the block
+    ends = np.empty(s + 1, dtype=np.int32)
+    ends[:s], ends[s] = qs[:s], size
+    lens = ends.copy()
+    lens[1:] -= ends[:-1]
+    rises = np.clip(qs - m, 0, size).astype(np.int32)
+    term = np.empty_like(ends)
+    levels = [size]
+    for k in range(1, len(qs) + 1):
+        t = term[: min(s + 1, len(qs) - k + 1)]
+        np.subtract(ends[: len(t)], rises[k - 1 : k - 1 + len(t)], out=t)
+        np.minimum(t, lens[: len(t)], out=t)
+        np.maximum(t, 0, out=t)
+        levels.append(int(t.sum()))
+        if not levels[-1]:
+            return levels
+    return levels + [0]
 
 
 def _prime_powers(hi):

@@ -99,6 +99,18 @@ def test_tkh_auto_k_above_h_is_zero(capsys):
     assert rec["mode"] == "exact" and rec["value_or_mean"] == 0
 
 
+@pytest.mark.parametrize("argv", [("--k", "171", "--h", "171"), ("--k", "170", "--h", "172", "--mode", "exact")])
+def test_tkh_exact_past_float_factorial_prints(capsys, argv):
+    # every row is inadmissible, so T = 0, while k! and h^k are past the float range
+    code, out, err = run_cli(capsys, "tkh", *argv)
+    assert (code, err) == (0, "")
+    rec = json.loads(lines_of(out)[1])
+    k, h = rec["k"], rec["h"]
+    assert rec["mode"] == "exact"
+    assert rec["value_or_mean"] == 0 and rec["normalized"] == 0
+    assert rec["error"] == pytest.approx(math.factorial(k) * math.comb(h, k) / 10 ** 10, rel=1e-11)
+
+
 def test_tkh_threads_recorded(capsys):
     _, out, _ = run_cli(capsys, "tkh", "--k", "2", "--h", "30", "--mode", "mc",
                         "--samples", "150", "--seed", "1", "--threads", "4")
@@ -256,6 +268,25 @@ def test_selberg_z_over_prime_budget_exits_3(capsys, monkeypatch, extra):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "primes up to 100000001 exceed the prime budget" in err
+
+
+def test_selberg_budget_check_sieves_nothing(capsys, monkeypatch):
+    # the gamma row at z = 10^6 needs the primes below it once; the budget check needs none
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    real = primetail.primes.primes_upto
+    for mod in (primetail.cli, primetail.primes, primetail.selberg, primetail.singular):
+        if hasattr(mod, "primes_upto"):
+            monkeypatch.setattr(mod, "primes_upto", counted)
+    code, out, _ = run_cli(capsys, "selberg", "--tuple", "0,2,6", "--x", "100000", "--z", "240",
+                           "--gamma-table", "1000,10000,100000,1000000")
+    assert code == 0
+    assert out == SELBERG_GAMMA_STDOUT
+    assert calls.count(999999) == 1
 
 
 def test_selberg_z_epsilon_exclusive(capsys):

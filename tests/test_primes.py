@@ -30,6 +30,27 @@ def _trial_is_prime(n):
     return True
 
 
+def _miller_rabin(n):
+    """Deterministic primality for n < 3.3 * 10^24: strong probable prime to the bases 2..37."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _odd_wheel_sieve(limit):
     """Independent reference: sieve odd composites only, via bytearray."""
     flags = bytearray([0]) * (limit + 1)
@@ -104,6 +125,15 @@ def test_sieve_range_odd_and_unaligned_bases(monkeypatch, base):
     want[: len(flags)] = flags
     assert np.array_equal(t.words, np.packbits(want, bitorder="little").view("<u8"))
     assert t.primes().tolist() == [n for n in range(base, limit + 1) if _trial_is_prime(n)]
+
+
+@pytest.mark.parametrize("base", [10 ** 12, 10 ** 14 + 7, 2 ** 46 + 1])
+def test_sieve_range_large_base_matches_miller_rabin(base):
+    # a sieving prime's first flag in a segment scales seg_lo mod p, never seg_lo itself,
+    # which times (p + 1) / 2 would pass 2^63 at these bases
+    t = sieve_range(base, base + 5000)
+    assert t.primes().tolist() == [n for n in range(base, base + 5001) if _miller_rabin(n)]
+    assert [n for n in range(2, 400) if _miller_rabin(n)] == [n for n in range(2, 400) if _trial_is_prime(n)]
 
 
 @pytest.mark.parametrize("base, limit", [(0, 0), (0, 1), (2, 2), (0, 127), (0, 128), (1, 128),
