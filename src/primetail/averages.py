@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
-import mpmath
 import numpy as np
 
 from .errors import ResourceError
@@ -145,6 +144,8 @@ def allk_bound(k):
     """
     if k < 2:
         raise ValueError("need k >= 2")
+    import mpmath  # on first use only, so that importing the package does not load it
+
     ps = primes_upto(k ** 3)
     with mpmath.workdps(40):
         runs = (ps[i : i + 256].tolist() for i in range(0, len(ps), 256))

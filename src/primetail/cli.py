@@ -117,13 +117,13 @@ def _cmd_tkh(args):
         # T_k(h) = k! C(h,k) * mean of S over uniform sorted k-subsets
         scale = math.factorial(k) * math.comb(h, k)
     config = {"threads": args.threads, "k": k, "h": h, "mode": mode, "samples": samples, "seed": seed}
-    # normalized <= mean is rounded once from the exact ratio, by int division: neither h^k
-    # nor T_k(h) has to fit a float for it to print
+    # normalized <= mean and tkh_estimate are each rounded once from an exact ratio, by int
+    # division: neither h^k nor k! C(h,k) has to fit a float for them to print
     num, den = mean.as_integer_ratio()
     rec = {"k": k, "h": h, "mode": mode, "value_or_mean": mean, "error": error,
            "samples": samples, "seed": seed, "normalized": scale * num / (den * h ** k)}
     if mode == "mc":
-        rec |= {"tkh_estimate": scale * mean, "workers": est.workers}
+        rec |= {"tkh_estimate": scale * num / den, "workers": est.workers}
     _emit(args, config, list(rec), [rec])
     return 0
 

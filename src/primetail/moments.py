@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
-
 
 @lru_cache(maxsize=None)
 def stirling2(r, l):
@@ -91,6 +89,8 @@ def poisson_tail(lam, k):
             t *= j / lam
             j -= 1
         terms.append(t)
+    import mpmath  # on first use only, so that importing the package does not load it
+
     with mpmath.workdps(30):
         first = mpmath.exp(j0 * mpmath.log(lam) - lam - mpmath.loggamma(j0 + 1))
         s = float(first * math.fsum(terms))

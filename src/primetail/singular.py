@@ -10,15 +10,16 @@ The defining product over all primes is split three ways:
 The generic tail's log is computed once per k, and cached for good, as a
 sum over the primes up to an analytic boundary plus a prime-zeta series
 for everything beyond it, so a single evaluation costs
-O(pi(k) + #{p | D_H}) after the per-k warm-up. Error radii combine the
-zeta-series truncation bound with crude-but-sound rounding counts.
+O(pi(k) + #{p | D_H}) after the per-k warm-up. The series is summed in
+256-bit fixed point from a constant table of prime-zeta values (_PZ), so
+no arbitrary-precision library is needed at run time. Error radii combine
+the zeta-series truncation bound with crude-but-sound rounding counts.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cache
 
-import mpmath
 import numpy as np
 
 from .errors import ResourceError
@@ -132,26 +133,70 @@ def _require_prime(p):
 # -- generic tail per exponent k ---------------------------------------
 
 
-def _zeta_tail_log(k, boundary):
-    """log prod_{p > boundary} f_k(p) and a rigorous bound on the truncation.
+# floor(2^256 P(m)) for m = 2..16, P(m) = sum_p p^-m the prime zeta function, generated
+# once from mpmath.primezeta(m) at 90 digits (110 digits give the same floors); the tests
+# recompute them. The series never reaches past m = 14 for any k the prime budget allows.
+_ONE = 1 << 256
+_PZ = (
+    0x73C67CA6C6D92C38E6FF9F286F4CE67CFCE84D49A7B7B84D5EF7E5E30163FFC6,
+    0x2CBD3E8C5A8FA4F8D7B2B20B324E020970AD382257591EDC49F2801DE1D967C5,
+    0x13B5D2894DC5A9BEFEAE5741B80B6B91C065155FD6E2299CE6E84C8E9703D0E6,
+    0x09273DA6C2E8ADA97B482532CA8BE27AE66AEBB9C200F1270B55A1865BE2B0D8,
+    0x045EB488C36BC9A752FDA09B6EEC4D14A2A8260D87F0151AF8731C8081DEFD20,
+    0x021EE3A733DF2B80C88287CB39435C78EAFE4EC81C411DC2EB2E31CE4F4CE28C,
+    0x010A2B13399923C0483E1DBE3D06BDE5A35B946B705201B052C09DA7CB674682,
+    0x00835D62AE2BD2272C73C9BA5BF0A11742A53243B75E53B38109CBA616C23EB5,
+    0x00411DE6DB7E46082AEB7D8A937FC2826DCA278C1D2357DF57FCB9970154BBE8,
+    0x00205F0F5DE3865F45C6951B8DDEF5E06EFFDAE2CEA8EC568C92682F786F4B34,
+    0x00101FA3A48B2DBC1933DF29DDDC102C603F72814D0AD43AFAC18FC7A7DA6796,
+    0x00080A8979CE57AF205A21F4C0608B0D58DDBFC968CF00A2DCA88E289D1FBF01,
+    0x00040382AE55F552890CAFC1DB260D8AB86F57BAE712A766BE65AA29AEE60EDC,
+    0x0002012B771DD25C4761288C6B2792D562BCB9414A0B2C13E1C54BFD169A3E04,
+    0x00010063CD862E200819BAC2F0B08157F7CBFE372266146469BC82583DB58496,
+)
+
+
+def _zeta_orders(k, boundary):
+    """(top, rem): the series sums the orders 2 <= m < top, and rem bounds the rest.
+
+    The terms of order >= m are below boundary*(k/boundary)^m/(m(m-1)(1 - k/boundary));
+    the series stops at the first m where that falls below 1e-26.
+    """
+    m = 3
+    while (rem := boundary * (k / boundary) ** m / (m * (m - 1) * (1 - k / boundary))) >= 1e-26:
+        m += 1
+    return m, rem
+
+
+def _zeta_tail_log(k, boundary, ps):
+    """log prod_{p > boundary} f_k(p) and a rigorous bound on the truncation;
+    ps holds the primes up to boundary.
 
     Expanding log f_k(p) = -sum_{m>=2} (k^m - k) p^-m / m and swapping the
     sums turns the far tail into prime-zeta values minus finite prefixes.
     Valid because boundary >= 4k^2 keeps every k/p well inside (0, 1/2).
+
+    The sum runs in integers, in units of 2^-256. P(m) is the floor in _PZ,
+    and each floor(2^256/q^m) is exact: floor(floor(a/b)/c) = floor(a/(bc)),
+    so one // by q steps it from m - 1 to m. P(m) minus the prefix over
+    q <= boundary is then off by less than pi(boundary) + 1 units, and
+    order m's term, after the scaling by (k^m - k) and the floor of its //m,
+    by less than (k^m - k)/m (pi(boundary) + 1) + 1. The whole sum is within
+    (pi(boundary) + 2) sum_m (k^m - k)/m units: below 1e-40 for every
+    boundary = max(1000, 4k^2) <= 10^8, far inside the 1e-28 that the bound
+    adds to the truncation. The primes go in slices of 2^14, so a large k
+    holds a few thousand big ints at a time, not millions.
     """
-    with mpmath.workdps(50):
-        qs = [mpmath.mpf(int(q)) for q in primes_upto(boundary)]
-        acc = mpmath.mpf(0)
-        m = 2
-        while True:
-            s_m = mpmath.primezeta(m) - mpmath.fsum(q ** (-m) for q in qs)
-            acc -= mpmath.mpf(k ** m - k) / m * s_m
-            m += 1
-            # remaining terms are below boundary*(k/boundary)^m/(m(m-1))
-            rem = boundary * (k / boundary) ** m / (m * (m - 1) * (1 - k / boundary))
-            if rem < 1e-26 or m > 400:
-                break
-    return float(acc), rem + 1e-28
+    top, rem = _zeta_orders(k, boundary)
+    prefix = [0] * (top - 2)
+    for i in range(0, len(ps), 1 << 14):
+        qs = ps[i : i + (1 << 14)].tolist()
+        xs = [_ONE // (q * q) for q in qs]
+        for j in range(len(prefix)):
+            prefix[j] += sum(xs)
+            xs = [x // q for x, q in zip(xs, qs)]
+    acc = -sum((k ** m - k) * (_PZ[m - 2] - s) // m for m, s in enumerate(prefix, 2))
+    return acc / _ONE, rem + 1e-28  # int / int: the float nearest the exact ratio
 
 
 def _log_f(k, ps):
@@ -168,10 +213,11 @@ def _kdata(k):
     come from the prime-zeta series.
     """
     boundary = max(1000, 4 * k * k)
-    logf = _log_f(k, primes_upto(boundary))
+    ps = primes_upto(boundary)
+    logf = _log_f(k, ps)
     head = float(np.cumsum(logf)[-1])
     head_abs = float(np.abs(logf).sum())
-    ztail, zbound = _zeta_tail_log(k, boundary)
+    ztail, zbound = _zeta_tail_log(k, boundary, ps)
     return head + ztail, 4.0 * (len(logf) + 4) * _EPS * (head_abs + abs(ztail)) + zbound
 
 
@@ -319,5 +365,7 @@ def jensen_split_bound(H):
     acc = 0.0
     for f in _prime_factors(H.pairwise_diffs()):
         acc += math.exp(2.0 * cc * sum(1.0 / p for p in f if p > kc))
-    # mpf -> float gives inf past the float range, and inf is still an upper bound
-    return float(mpmath.exp(log_head + log_tail + math.log(acc / cc)))
+    try:
+        return math.exp(log_head + log_tail + math.log(acc / cc))
+    except OverflowError:  # past the float range; inf is still an upper bound
+        return math.inf

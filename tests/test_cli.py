@@ -111,6 +111,16 @@ def test_tkh_exact_past_float_factorial_prints(capsys, argv):
     assert rec["error"] == pytest.approx(math.factorial(k) * math.comb(h, k) / 10 ** 10, rel=1e-11)
 
 
+@pytest.mark.parametrize("k, h", [(120, 500), (300, 400)], ids=["k120-h500", "k300-h400"])
+def test_tkh_mc_past_float_range_prints(capsys, k, h):
+    # k! C(h,k) is past the float range; no sample is admissible, so the mean and T are 0
+    code, out, err = run_cli(capsys, "tkh", "--k", str(k), "--h", str(h), "--mode", "mc", "--samples", "100")
+    assert (code, err) == (0, "")
+    rec = json.loads(lines_of(out)[1])
+    assert rec["mode"] == "mc"
+    assert rec["value_or_mean"] == rec["normalized"] == rec["tkh_estimate"] == 0
+
+
 def test_tkh_threads_recorded(capsys):
     _, out, _ = run_cli(capsys, "tkh", "--k", "2", "--h", "30", "--mode", "mc",
                         "--samples", "150", "--seed", "1", "--threads", "4")
@@ -463,13 +473,11 @@ def test_window_x_below_2_exits_2(capsys, argv):
         # the local factor 2^(k-1) at p = 2 leaves the float range
         ("singular", "--tuple", ",".join(str(t) for t in range(0, 2200, 2))),
         ("tkh", "--k", "1100", "--h", "1200", "--mode", "mc", "--samples", "100"),
-        # k! C(h, k) times the mean
-        ("tkh", "--k", "300", "--h", "400", "--mode", "mc", "--samples", "100"),
         # Poisson moments via Stirling numbers
         ("moments", "--x", "100000", "--lambda", "1", "--r-max", "400"),
         ("moments", "--x", "1000", "--h", "50000", "--r-max", "90"),
     ],
-    ids=["singular-k1100", "tkh-k1100", "tkh-k300", "moments-r400", "moments-h50000"],
+    ids=["singular-k1100", "tkh-k1100", "moments-r400", "moments-h50000"],
 )
 def test_float_overflow_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -544,3 +552,23 @@ def test_cli_never_imports_scipy(argv, tmp_path):
                        env=_child_env(), cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     assert json.loads(lines_of(r.stdout)[-1]) == [0, []]
+
+
+def test_only_tail_loads_mpmath(tmp_path):
+    # one fresh interpreter runs every job but tail, then tail, whose Poisson tail does load
+    # mpmath: so the probe can see an import
+    others = [a for a in SUBCOMMAND_ARGVS if a[0] != "tail"] + [("singular", "--tuple", "0,2,6", "--jensen")]
+    tail = next(a for a in SUBCOMMAND_ARGVS if a[0] == "tail")
+    script = (
+        "import io, json, sys, contextlib\n"
+        "from primetail.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(list(a)) for a in {others!r}]\n"
+        "    before = 'mpmath' in sys.modules\n"
+        f"    codes.append(main({list(tail)!r}))\n"
+        "print(json.dumps([codes, before, 'mpmath' in sys.modules]))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env=_child_env(), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(lines_of(r.stdout)[-1]) == [[0] * (len(others) + 1), False, True]

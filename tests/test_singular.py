@@ -220,6 +220,76 @@ def test_tail_log_bound_dominates_true_tail():
         assert partial + tail_log_bound(k, top) <= tail_log_bound(k, P)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(0, 400), min_size=1, max_size=12), st.sampled_from((2, 3, 5, 7, 11, 13, 101)))
+def test_residue_classes_and_admissibility_match_sets(offs, p):
+    H = Tuple(tuple(sorted(offs)))
+    assert residue_classes(H, p) == len({t % p for t in offs})
+    small = [q for q in _ORACLE_PRIMES if q <= H.k]
+    assert is_admissible(H) == all(len({t % q for t in offs}) < q for q in small)
+
+
+# -- generic tail in fixed point ----------------------------------------
+
+
+def _mpmath_zeta_tail_log(k, boundary):
+    """The generic tail's far part in 50-digit mpmath: prime-zeta values minus the prefix
+    over the primes up to boundary, with the stopping rule and bound of _zeta_tail_log."""
+    with mpmath.workdps(50):
+        qs = [mpmath.mpf(int(q)) for q in primes_upto(boundary)]
+        acc = mpmath.mpf(0)
+        m = 2
+        while True:
+            s_m = mpmath.primezeta(m) - mpmath.fsum(q ** (-m) for q in qs)
+            acc -= mpmath.mpf(k ** m - k) / m * s_m
+            m += 1
+            rem = boundary * (k / boundary) ** m / (m * (m - 1) * (1 - k / boundary))
+            if rem < 1e-26 or m > 400:
+                break
+    return float(acc), rem + 1e-28
+
+
+def _mpmath_kdata(k):
+    """_kdata(k) built the same way, but with the far part from _mpmath_zeta_tail_log."""
+    boundary = max(1000, 4 * k * k)
+    ps = primes_upto(boundary)
+    pf = ps[np.searchsorted(ps, k, side="right") :].astype(np.float64)
+    logf = np.log1p(-float(k) / pf) - k * np.log1p(-1.0 / pf)
+    head = float(np.cumsum(logf)[-1])
+    ztail, zbound = _mpmath_zeta_tail_log(k, boundary)
+    eps = 2.0 ** -52
+    return head + ztail, 4.0 * (len(logf) + 4) * eps * (float(np.abs(logf).sum()) + abs(ztail)) + zbound
+
+
+def test_pz_table_is_primezeta_floors():
+    assert len(singular._PZ) == 15
+    with mpmath.workdps(90):
+        for m, got in enumerate(singular._PZ, 2):
+            assert got == int(mpmath.floor(mpmath.primezeta(m) * mpmath.mpf(2) ** 256)), m
+
+
+def test_kdata_bit_identical_to_mpmath_routine():
+    for k in [*range(1, 81), 100, 150, 200, 250]:
+        assert singular._kdata(k) == _mpmath_kdata(k), k
+
+
+def test_zeta_orders_stay_inside_pz():
+    # the stopping rule is plain float arithmetic; 4k^2 <= 10^8 is every k the prime budget allows
+    tops = [singular._zeta_orders(k, max(1000, 4 * k * k))[0] for k in range(1, 5001)]
+    assert max(tops) - 2 <= len(singular._PZ)
+
+
+def test_fixed_point_error_inside_the_bound():
+    # at k = 5000 the scaled sum is within (pi(B) + 2) sum_m (k^m - k)/m units of 2^-256;
+    # the bound carries 1e-28 for it, and _zeta_tail_log's docstring claims below 1e-40
+    k = 5000
+    boundary = 4 * k * k
+    top, _ = singular._zeta_orders(k, boundary)
+    pi_b = 5761455  # pi(10^8)
+    err = Fraction((pi_b + 2) * sum(Fraction(k ** m - k, m) for m in range(2, top)), 2 ** 256)
+    assert err < Fraction(1, 10 ** 40)
+
+
 # -- the series ---------------------------------------------------------
 
 
