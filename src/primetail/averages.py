@@ -18,7 +18,6 @@ from .primes import primes_upto
 from .singular import singular_series_block
 
 DEFAULT_BUDGET = 10 ** 7
-PER_TUPLE_ERROR = 1e-10
 _BLOCK = 1 << 14
 _BATCH = 2048
 
@@ -42,9 +41,9 @@ def tkh_exact(k, h):
     """T_k(h) = k! sum over 0 < d_2 < ... < d_k < h of (h - d_k) S({0, d_2, ..., d_k}).
 
     The C(h-1,k-1) anchored rows are streamed in blocks of at most 2^14.
-    The reported error is k! times the larger of the weighted radii and
-    C(h,k) * PER_TUPLE_ERROR. Raises ResourceError if the anchored rows
-    exceed DEFAULT_BUDGET.
+    The reported error bounds the distance of the printed value from T_k(h):
+    the weighted radii of the rows plus the rounding of the sums that form
+    it. Raises ResourceError if the anchored rows exceed DEFAULT_BUDGET.
     """
     if k < 1 or h < 1:
         raise ValueError("need k >= 1 and h >= 1")
@@ -65,12 +64,19 @@ def tkh_exact(k, h):
         weights = h - ds[:, -1]
         total += float(weights @ vals)
         radii += float(weights @ rads)
-    # k! scales each sum's exact ratio and int division rounds once, so a value or error in
-    # the float range survives any k; C(h,k) <= h C(h-1,k-1) stays far inside it under the budget
+    # k! scales the sum's exact ratio and int division rounds once, so a value in the float
+    # range survives any k. Each nonnegative term of total and radii is rounded at most
+    # n = rows + blocks times, the k! scaling included, so with u = 2^-53 and
+    # g = n u / (1 - n u) each sum is within g times its exact value of it, and the value within
+    # k! (radii + g total) / (1 - g) = k! (radii (1 - n u) + n u total) / (1 - 2 n u) of T_k(h)
     kf = math.factorial(k)
     tn, td = total.as_integer_ratio()
-    en, ed = max(radii, math.comb(h, k) * PER_TUPLE_ERROR).as_integer_ratio()
-    return ValueWithError(kf * tn / td, kf * en / ed)
+    rn, rd = radii.as_integer_ratio()
+    n = n_rows + -(-n_rows // _BLOCK)
+    num, den = kf * (rn * td * (2 ** 53 - n) + tn * rd * n), rd * td * (2 ** 53 - 2 * n)
+    error = num / den
+    en, ed = error.as_integer_ratio()
+    return ValueWithError(kf * tn / td, error if en * den >= num * ed else math.nextafter(error, math.inf))
 
 
 def tkh_pair_fast(h):

@@ -41,7 +41,8 @@ def _cell(v):
     return str(v)
 
 
-def _emit(args, config, columns, rows):
+def _emit(args, config, rows):
+    """The header, then the rows; TSV columns are the rows' keys in order of first appearance."""
     config = {"subcommand": args.subcommand, "format": args.format, **config}
     out = sys.stdout
     if args.format == "json":
@@ -49,6 +50,7 @@ def _emit(args, config, columns, rows):
         for r in rows:
             out.write(_jdump(r) + "\n")
     else:
+        columns = list(dict.fromkeys(c for r in rows for c in r))
         out.write("# " + _jdump(config) + "\n")
         out.write("# " + "\t".join(columns) + "\n")
         for r in rows:
@@ -95,7 +97,7 @@ def _cmd_singular(args):
     if args.jensen:
         rec["jensen_bound"] = jensen_split_bound(H) if H.k >= 2 else 1.0
     config = {"tuple": str(H), "error": args.error}
-    _emit(args, config, list(rec), [rec])
+    _emit(args, config, [rec])
     return 0
 
 
@@ -124,7 +126,7 @@ def _cmd_tkh(args):
            "samples": samples, "seed": seed, "normalized": scale * num / (den * h ** k)}
     if mode == "mc":
         rec |= {"tkh_estimate": scale * num / den, "workers": est.workers}
-    _emit(args, config, list(rec), [rec])
+    _emit(args, config, [rec])
     return 0
 
 
@@ -138,7 +140,7 @@ def _cmd_window(args):
     hist = window_counts(table, args.x, h)
     config = {"x": args.x, "h": h, args.last: last}
     rows = [_row(args.report(hist, i)) for i in range(first, last + 1)]
-    _emit(args, config, list(rows[0]), rows)
+    _emit(args, config, rows)
     return 0
 
 
@@ -152,9 +154,7 @@ def _cmd_hl(args):
             raise ValueError("--sweep wants A:B:S with A <= B and S >= 1")
         xs = list(range(parts[0], parts[1] + 1, parts[2]))
     table = _load_table(args, xs[-1] + H.offsets[-1] + 1)
-    rows = [_row(r) for r in hl_sweep(H, xs, table)]
-    columns = ["x", "hits", "prediction", "abs_error", "normalized", "normalized_alt"]
-    _emit(args, config, columns, rows)
+    _emit(args, config, [_row(r) for r in hl_sweep(H, xs, table)])
     return 0
 
 
@@ -165,22 +165,12 @@ def _cmd_selberg(args):
     gamma_zs = [int(v) for v in args.gamma_table.split(",")] if args.gamma_table else []
     # the report needs the primes below each z; a z past the prime budget fails before the table loads
     check_prime_budget(max([args.z or 2, *gamma_zs]) - 1)
+    # the gamma rows need no table, so a bad z fails before it is loaded or sieved
+    gammas = [{"tuple": str(H), "z": z, "gamma_ratio": gamma_cross_check(H, z)} for z in gamma_zs]
     table = _load_table(args, args.x + H.offsets[-1] + 1)
     rep = sieve_report(H, args.x, z=args.z, epsilon=args.epsilon, table=table)
-    config = {
-        "tuple": str(H),
-        "x": args.x,
-        "z": rep.z,
-        "epsilon": args.epsilon,
-    }
-    rec = _row(rep, drop=("epsilon",))
-    rows = [rec]
-    columns = list(rec)
-    if gamma_zs:
-        columns = columns + ["gamma_ratio"]
-        for z in gamma_zs:
-            rows.append({"tuple": str(H), "z": z, "gamma_ratio": gamma_cross_check(H, z)})
-    _emit(args, config, columns, rows)
+    config = {"tuple": str(H), "x": args.x, "z": rep.z, "epsilon": args.epsilon}
+    _emit(args, config, [_row(rep, drop=("epsilon",)), *gammas])
     return 0
 
 
@@ -191,7 +181,7 @@ def _cmd_sieve_cache(args):
     table.save(args.out)
     config = {"limit": args.limit, "out": args.out}
     rec = {"limit": args.limit, "out": args.out, "primes": table.count()}
-    _emit(args, config, list(rec), [rec])
+    _emit(args, config, [rec])
     return 0
 
 
@@ -224,7 +214,7 @@ def _build_parser():
 
     p = sub.add_parser("singular", parents=[common], help="singular series of a tuple")
     p.add_argument("--tuple", required=True, help='offsets, e.g. "0,2,6"')
-    p.add_argument("--error", type=_finite, default=1e-9)
+    p.add_argument("--error", type=_finite, default=None, help="refuse a radius above this")
     p.add_argument("--jensen", action="store_true", help="include the split bound")
     p.set_defaults(func=_cmd_singular)
 

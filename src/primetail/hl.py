@@ -80,7 +80,7 @@ def hl_sweep(H, xs, table=None):
         raise ValueError("checkpoints must be ascending and >= 3")
     k = H.k
     lis = list(accumulate(_log_integral(a, b, k) for a, b in zip([2.0] + xs, xs)))
-    sv = singular_series(H, target_error=max(1e-9 * lis[-1], 1e-12))
+    sv = singular_series(H)
     reports = []
     for x, li, (hits, s) in zip(xs, lis, tuple_counts(table, H.offsets, xs)):
         prediction = sv.value * li

@@ -55,7 +55,7 @@ def _segments(lo, hi):
     for seg_lo in range(lo & ~1, hi + 1, 2 * _SEGMENT):
         n = (min(seg_lo + 2 * _SEGMENT - 1, hi) - seg_lo + 1) // 2
         j = (seg_lo >> 1) % _PERIOD
-        seg = _PATTERN[j : j + n].copy() if n <= _PERIOD else np.resize(_PATTERN[j : j + _PERIOD], n)
+        seg = np.resize(_PATTERN[j : j + _PERIOD], n)
         if seg_lo < _WHEEL[-1]:  # the pattern crossed out the wheel primes themselves
             seg[[(p - seg_lo) >> 1 for p in _WHEEL if seg_lo < p < seg_lo + 2 * n]] = True
         if seg_lo == 0:

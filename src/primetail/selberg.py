@@ -156,7 +156,7 @@ def theorem_bound(H, x, epsilon):
     if epsilon <= 0:
         raise ValueError("need epsilon > 0")
     k = H.k
-    sv = singular_series(H, target_error=None)
+    sv = singular_series(H)
     if sv.value == 0.0:
         log.warning("theorem_bound: inadmissible tuple, bound is vacuous")
     try:

@@ -271,23 +271,21 @@ def is_admissible(H):
 # -- the series itself ---------------------------------------------------
 
 
-def singular_series(H, target_error=1e-9):
+def singular_series(H, target_error=None):
     """Singular series of H with a rigorous absolute error radius.
 
-    Inadmissible tuples give exactly 0.0 with radius 0. target_error=None
-    skips the reachability check and returns the best radius available;
-    otherwise a radius above the target raises ResourceError.
+    Inadmissible tuples give exactly 0.0 with radius 0. A given target_error
+    below the radius raises ResourceError: the radius is the rounding floor
+    of the evaluation, so no number of primes lowers it.
     """
     H = as_tuple(H)
     if target_error is not None and target_error <= 0:
         raise ValueError("target_error must be positive")
-    k = H.k
     value, radius, plimit = (a[0].item() for a in singular_series_block(_anchored(H)[None]))
     if target_error is not None and radius > target_error:
-        need = 4 * k * k * max(value, 1.0) / target_error
         raise ResourceError(
-            f"error radius {radius:.3g} exceeds target {target_error:.3g}; a "
-            f"literal truncation would need primes up to about {need:.3g}"
+            f"error radius {radius:.3g} exceeds target {target_error:.3g}; "
+            f"it is the rounding floor of this evaluation"
         )
     return SingularSeriesValue(value, radius, plimit)
 

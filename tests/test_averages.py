@@ -17,6 +17,7 @@ from primetail import (
     tkh_pair_fast,
 )
 from primetail.errors import ResourceError
+from primetail.singular import singular_series_block
 
 TWIN_CONSTANT = 1.320323631693739
 
@@ -91,11 +92,37 @@ def test_exact_matches_sum_over_all_subsets():
     # one singular_series call per sorted subset of [1, h]: no anchoring, no weights
     for k, h in ((3, 25), (4, 16), (5, 14)):
         subsets = list(combinations(range(1, h + 1), k))
-        sv = [singular_series(Tuple(c), None) for c in subsets]
+        sv = [singular_series(Tuple(c)) for c in subsets]
         kf = math.factorial(k)
         got = tkh_exact(k, h)
         assert got.value == pytest.approx(kf * sum(s.value for s in sv), rel=1e-13)
-        assert got.error == kf * max(sum(s.error_radius for s in sv), len(subsets) * 1e-10)
+        # the error covers the radii and the rounding of the value; since each float sum is
+        # within g of its exact value, it lies between radii + g exact and that times 1 + 3g
+        exact = kf * sum(Fraction(s.value) for s in sv)
+        radii = kf * sum(Fraction(s.error_radius) for s in sv)
+        rows = math.comb(h - 1, k - 1)
+        nu = Fraction(rows + -(-rows // averages._BLOCK), 2 ** 53)
+        g = nu / (1 - nu)  # gamma_n for n roundings of unit 2^-53
+        assert Fraction(got.error) >= abs(Fraction(got.value) - exact)
+        assert radii + g * exact <= Fraction(got.error)
+        assert Fraction(got.error) <= (radii + g * exact) * (1 + 3 * g) * (1 + Fraction(1, 2 ** 52))
+
+
+@pytest.mark.parametrize("k, h", [(4, 40), (2, 10000), (6, 18), (3, 60)])
+def test_exact_error_covers_kernel_floats(k, h):
+    # Fraction oracle over the kernel's own floats: the error bounds the rounding of the
+    # weighted sum and the propagated radii, and is not a flat charge per subset: it sits
+    # 50x below k! C(h,k) 10^-10
+    ds = np.array(list(combinations(range(1, h), k - 1)), dtype=np.int64)
+    vals, rads, _ = singular_series_block(np.hstack([np.zeros((len(ds), 1), np.int64), ds]))
+    weights = (h - ds[:, -1]).tolist()
+    kf = math.factorial(k)
+    exact = kf * sum(w * Fraction(v) for w, v in zip(weights, vals.tolist()))
+    radii = kf * sum(w * Fraction(r) for w, r in zip(weights, rads.tolist()))
+    got = tkh_exact(k, h)
+    assert Fraction(got.error) >= abs(Fraction(got.value) - exact)
+    assert Fraction(got.error) >= radii
+    assert 50 * got.error <= kf * math.comb(h, k) * 1e-10
 
 
 def test_budget_raises_with_hint(monkeypatch):

@@ -108,7 +108,8 @@ def test_tkh_exact_past_float_factorial_prints(capsys, argv):
     k, h = rec["k"], rec["h"]
     assert rec["mode"] == "exact"
     assert rec["value_or_mean"] == 0 and rec["normalized"] == 0
-    assert rec["error"] == pytest.approx(math.factorial(k) * math.comb(h, k) / 10 ** 10, rel=1e-11)
+    # no row contributes a value, a radius or a rounding, so the error is an exact 0
+    assert rec["error"] == 0 and '"error":0,' in lines_of(out)[1]
 
 
 @pytest.mark.parametrize("k, h", [(120, 500), (300, 400)], ids=["k120-h500", "k300-h400"])
@@ -200,8 +201,28 @@ def test_hl_sweep_tsv_columns(capsys):
     code, out, _ = run_cli(capsys, "hl", "--tuple", "0,2", "--x", "100",
                            "--sweep", "100:200:50", "--format", "tsv")
     ls = lines_of(out)
-    assert ls[1] == "# x\thits\tprediction\tabs_error\tnormalized\tnormalized_alt"
+    # the columns are the keys of the JSON rows, in their order
+    assert ls[1] == ("# tuple\tx\thits\tprediction\tabs_error\tnormalized\tnormalized_alt"
+                     "\tlambda_form_error")
     assert len(ls) == 5  # header, columns, three checkpoints
+    cells = [l.split("\t") for l in ls[2:]]
+    assert all(len(c) == 8 and c[0] == "0,2" for c in cells)
+    assert [c[1] for c in cells] == ["100", "150", "200"]
+    _, js, _ = run_cli(capsys, "hl", "--tuple", "0,2", "--x", "100", "--sweep", "100:200:50")
+    for c, l in zip(cells, lines_of(js)[1:]):
+        assert float(c[7]) == json.loads(l)["lambda_form_error"]
+
+
+def test_hl_fourteen_tuple_exits_0(capsys):
+    # the smallest admissible 14-tuple: its S(H) radius, 2.1e-8, is above 1e-9 li_k(x), and hl
+    # prints the prediction from the radius it propagates without refusing
+    tup = "0,2,6,8,12,18,20,26,30,32,36,42,48,50"
+    code, out, err = run_cli(capsys, "hl", "--tuple", tup, "--x", "100000")
+    assert (code, err) == (0, "")
+    rec = json.loads(lines_of(out)[1])
+    assert rec["hits"] == 1
+    assert rec["prediction"] == pytest.approx(singular_series(Tuple.parse(tup)).value
+                                              * primetail.li_k(100000, 14), rel=1e-12)
 
 
 def test_hl_sweep_sieves_only_to_the_checkpoints(tmp_path, capsys):
@@ -278,6 +299,19 @@ def test_selberg_z_over_prime_budget_exits_3(capsys, monkeypatch, extra):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "primes up to 100000001 exceed the prime budget" in err
+
+
+def test_selberg_bad_gamma_z_sieves_nothing(capsys, monkeypatch):
+    # the gamma rows need no table, so a z below 16 fails before one is loaded or sieved
+    def never(*args, **kwargs):
+        raise AssertionError("sieved or loaded")
+
+    monkeypatch.setattr("primetail.cli._load_table", never)
+    monkeypatch.setattr("primetail.primes._segments", never)
+    code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "100000000", "--z", "240",
+                             "--gamma-table", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: need z >= 16\n"
 
 
 def test_selberg_budget_check_sieves_nothing(capsys, monkeypatch):
@@ -416,14 +450,25 @@ def test_resource_exit_code(capsys):
 
 
 def test_unreachable_error_target_hint_stays_one_line(capsys):
-    # 5e-324 makes the "primes up to" hint infinite, 1e-300 a 306-digit number
-    for target in ("5e-324", "1e-300"):
-        code, out, err = run_cli(capsys, "singular", "--tuple", "0,2,6,8,12,18,20,26,30,32",
-                                 "--error", target)
+    # the message names the radius as a rounding floor, never a prime bound, whatever the target
+    for tup, target in (("0,2,6,8,12,18,20,26,30,32", "5e-324"),
+                        ("0,2,6,8,12,18,20,26,30,32", "1e-300"), ("0,2", "1e-30")):
+        code, out, err = run_cli(capsys, "singular", "--tuple", tup, "--error", target)
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and len(err) < 200
-        assert "primes up to" in err
+        assert "rounding floor" in err and "primes" not in err
+
+
+def test_singular_default_checks_no_target(capsys):
+    # the smallest admissible 11-tuple: S = 3062 with radius 1.09e-9; without --error no
+    # radius is refused, and the header echoes null
+    code, out, err = run_cli(capsys, "singular", "--tuple", "0,2,6,8,12,18,20,26,30,32,36")
+    assert (code, err) == (0, "")
+    header, rec = (json.loads(l) for l in lines_of(out))
+    assert header["error"] is None and '"error":null' in lines_of(out)[0]
+    assert rec["value"] == pytest.approx(3062, rel=1e-3)
+    assert 1e-9 < rec["error_radius"] < 1e-12 * rec["value"]
 
 
 def test_selberg_theorem_bound_overflow_prints_null(capsys):

@@ -404,9 +404,16 @@ def test_partial_product_inadmissible():
     assert sv.value == 0.0 and sv.error_radius == 0.0
 
 
-def test_unreachable_target_names_required_prime():
-    with pytest.raises(ResourceError, match="primes up to"):
-        singular_series(Tuple.parse("0,2,6,8"), target_error=1e-18)
+def test_unreachable_target_names_rounding_floor():
+    # the radius is a rounding floor that no prime bound lowers, and the message says so
+    H = Tuple.parse("0,2,6,8")
+    radius = singular_series(H).error_radius
+    with pytest.raises(ResourceError, match="rounding floor") as info:
+        singular_series(H, target_error=1e-18)
+    msg = str(info.value)
+    assert f"error radius {radius:.3g} exceeds target 1e-18" in msg
+    assert "\n" not in msg and "primes" not in msg
+    assert singular_series(H, target_error=radius).error_radius == radius
 
 
 def test_bad_target_error():
