@@ -47,8 +47,6 @@ def tkh_exact(k, h):
     """
     if k < 1 or h < 1:
         raise ValueError("need k >= 1 and h >= 1")
-    if k > h:
-        return ValueWithError(0.0, 0.0)
     n_rows = math.comb(h - 1, k - 1)
     if n_rows > DEFAULT_BUDGET:
         raise ResourceError(

@@ -70,12 +70,9 @@ def _row(rep, drop=()):
     return rec
 
 
-def _load_table(args, hi):
-    if getattr(args, "cache", None):
-        table = PrimalityTable.load(args.cache)
-        table.require_cover(0, hi)
-        return table
-    return sieve_range(0, hi)
+def _load_table(args):
+    """The --cache table, or None: each pass sieves the range it needs and checks a table's cover."""
+    return PrimalityTable.load(args.cache) if args.cache else None
 
 
 def _resolve_h(args):
@@ -136,8 +133,7 @@ def _cmd_window(args):
     first, last = args.first, getattr(args, args.last)
     if last < first:
         raise ValueError(f"need --{args.last.replace('_', '-')} >= {first}")
-    table = _load_table(args, args.x + math.ceil(h))
-    hist = window_counts(table, args.x, h)
+    hist = window_counts(_load_table(args), args.x, h)
     config = {"x": args.x, "h": h, args.last: last}
     rows = [_row(args.report(hist, i)) for i in range(first, last + 1)]
     _emit(args, config, rows)
@@ -153,22 +149,18 @@ def _cmd_hl(args):
         if len(parts) != 3 or parts[2] < 1 or parts[1] < parts[0]:
             raise ValueError("--sweep wants A:B:S with A <= B and S >= 1")
         xs = list(range(parts[0], parts[1] + 1, parts[2]))
-    table = _load_table(args, xs[-1] + H.offsets[-1] + 1)
-    _emit(args, config, [_row(r) for r in hl_sweep(H, xs, table)])
+    _emit(args, config, [_row(r) for r in hl_sweep(H, xs, _load_table(args))])
     return 0
 
 
 def _cmd_selberg(args):
     H = Tuple.parse(args.tuple)
-    if (args.z is None) == (args.epsilon is None):
-        raise ValueError("give exactly one of --z and --epsilon")
     gamma_zs = [int(v) for v in args.gamma_table.split(",")] if args.gamma_table else []
-    # the report needs the primes below each z; a z past the prime budget fails before the table loads
+    # a z past the prime budget fails before the primes below a smaller z are sieved
     check_prime_budget(max([args.z or 2, *gamma_zs]) - 1)
-    # the gamma rows need no table, so a bad z fails before it is loaded or sieved
+    # the gamma rows need no table, and the report refuses before it counts hits in one
     gammas = [{"tuple": str(H), "z": z, "gamma_ratio": gamma_cross_check(H, z)} for z in gamma_zs]
-    table = _load_table(args, args.x + H.offsets[-1] + 1)
-    rep = sieve_report(H, args.x, z=args.z, epsilon=args.epsilon, table=table)
+    rep = sieve_report(H, args.x, z=args.z, epsilon=args.epsilon, table=_load_table(args))
     config = {"tuple": str(H), "x": args.x, "z": rep.z, "epsilon": args.epsilon}
     _emit(args, config, [_row(rep, drop=("epsilon",)), *gammas])
     return 0

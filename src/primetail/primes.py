@@ -211,12 +211,12 @@ def window_counts(table, x, h):
     """Histogram of c(n) = #{primes in (n, n+h]} over n = 1..x.
 
     Windows are half-open at the left, so for integer n they hold the
-    integers n+1 .. n+floor(h). Requires the table to cover
-    [1, x + ceil(h)]. With m = floor(h), each _CHUNK block [a, b] of n is
-    counted by its tail levels G_k = #{n in [a, b] : c(n) >= k}: if
-    q_1 < q_2 < ... are the primes in (a, b + m], then on the gap
-    [S_i, E_i) = [q_i, min(q_{i+1}, b + 1)) (with S_0 = a) c(n) >= k
-    exactly when n >= q_{i+k} - m, so
+    integers n+1 .. n+floor(h). The table must cover [1, x + ceil(h)]; a
+    None table is sieved over [0, x + ceil(h)]. With m = floor(h), each
+    _CHUNK block [a, b] of n is counted by its tail levels
+    G_k = #{n in [a, b] : c(n) >= k}: if q_1 < q_2 < ... are the primes in
+    (a, b + m], then on the gap [S_i, E_i) = [q_i, min(q_{i+1}, b + 1))
+    (with S_0 = a) c(n) >= k exactly when n >= q_{i+k} - m, so
     G_k = sum_i max(0, min(E_i - S_i, E_i + m - q_{i+k})), and the levels
     nest, so the first empty one ends the block. N_c = G_c - G_{c+1}.
     """
@@ -224,6 +224,8 @@ def window_counts(table, x, h):
         raise ValueError("x must be >= 1")
     if not (h > 0) or not math.isfinite(h):
         raise ValueError("h must be positive and finite")
+    if table is None:
+        table = sieve_range(0, x + math.ceil(h))
     table.require_cover(1, x + math.ceil(h))
     m = int(h)
     acc = np.zeros(m + 2, dtype=np.int64)

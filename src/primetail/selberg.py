@@ -5,10 +5,10 @@ over squarefree d < z with a block multiplicative sieve: each g(d) is the
 product of its prime weights in ascending order from 1.0, and memory is one
 block of d, not z. W(z) is the plain Mertens-style product. The raw
 Halberstam-Richert style bound and the (2+eps)^k k! S(H) x/log^k x theorem
-form are both reported, never asserted.
+form are both reported, never asserted. A prime with nu(p) = p has no
+weight; every function that needs one raises InadmissibleModulusError.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -17,8 +17,6 @@ import numpy as np
 from .errors import InadmissibleModulusError
 from .primes import count_tuple_hits, primes_upto
 from .singular import as_tuple, singular_series, Tuple, _anchored, _nu_rows, _prime_factors
-
-log = logging.getLogger(__name__)
 
 _G_BLOCK = 1 << 16  # d per block of the G(z) sieve
 
@@ -37,6 +35,15 @@ def _nu_table(H, z):
     return ps, nus
 
 
+def _weights(ps, nus):
+    """g(p) = nu(p)/(p - nu(p)) over a nu table; the first p with nu(p) = p is refused by name."""
+    bad = ps[nus == ps].tolist()
+    if bad:
+        p = bad[0]
+        raise InadmissibleModulusError(f"nu({p}) = {p}: the tuple covers every residue class mod {p}")
+    return nus / (ps - nus)
+
+
 def g_value(d, H):
     """g(d) = nu(d) / (d prod_{p|d} (1 - nu(p)/p)) for squarefree d >= 1.
 
@@ -48,14 +55,9 @@ def g_value(d, H):
     fs = _prime_factors([d])[0]
     if math.prod(fs) != d:  # the distinct primes of d multiply to d iff d is squarefree
         raise ValueError(f"{d} is not squarefree")
-    out = 1.0
-    offs = _anchored(H)
-    for p in fs:
-        nu = int(_nu_rows(offs, p))
-        if nu == p:
-            raise InadmissibleModulusError(f"nu({p}) = {p}: weight undefined")
-        out *= nu / (p - nu)
-    return out
+    ps = np.array(fs, dtype=np.int64)
+    nus = _nu_rows(_anchored(H)[:, None], ps, axis=0)
+    return math.prod(_weights(ps, nus).tolist(), start=1.0)
 
 
 def _g_block(lo, hi, small):
@@ -77,10 +79,7 @@ def _g_block(lo, hi, small):
 
 def _G(z, ps, nus):
     """G(z) from the nu table of the primes below z; see big_G."""
-    bad = nus == ps
-    if bad.any():
-        log.warning("big_G: skipping %d primes with nu(p) = p", np.count_nonzero(bad))
-    gs = np.divide(nus, ps - nus, out=np.zeros(len(ps)), where=~bad)  # a skipped prime weighs 0.0
+    gs = _weights(ps, nus)
     r = math.isqrt(z - 1)
     n_small = int(np.searchsorted(ps, r, side="right"))
     small = list(zip(ps[:n_small].tolist(), gs[:n_small].tolist()))
@@ -105,16 +104,6 @@ def _W(ps, nus):
     return math.prod(((ps - nus) / ps).tolist(), start=1.0)
 
 
-def _positive_W(ps, nus):
-    """W(z), refused when some prime below z covers every residue class."""
-    W = _W(ps, nus)
-    if W == 0.0:
-        raise InadmissibleModulusError(
-            "W(z) = 0: some prime below z covers every residue class"
-        )
-    return W
-
-
 def big_G(z, H):
     """G(z) = sum over squarefree d < z of g(d).
 
@@ -124,8 +113,8 @@ def big_G(z, H):
     Every term is its ascending product of prime weights from 1.0, and
     math.fsum adds the block and vector sums.
 
-    Primes with nu(p) = p carry no valid weight; they are skipped under a
-    warning that counts them, which keeps G finite for inadmissible tuples.
+    A prime p < z with nu(p) = p has no weight: InadmissibleModulusError
+    names the first.
     """
     return _G(z, *_nu_table(H, z))
 
@@ -140,15 +129,14 @@ def sieve_upper_bound(H, x, z):
     if x < 1:
         raise ValueError("need x >= 1")
     nu = _nu_table(H, z)
-    W = _positive_W(*nu)
-    return _raw_bound(x, z, _G(z, *nu), W)
+    return _raw_bound(x, z, _G(z, *nu), _W(*nu))
 
 
 def theorem_bound(H, x, epsilon):
     """(2 + eps)^k k! S(H) x / (log x)^k.
 
-    Inadmissible tuples make this vacuous (0); that is flagged in the log
-    rather than raised, since the quantity itself is well defined.
+    An inadmissible tuple has S(H) = 0, which would make the bound a vacuous
+    0: InadmissibleModulusError names a prime p <= k with nu(p) = p.
     """
     H = as_tuple(H)
     if x < 16:
@@ -157,8 +145,8 @@ def theorem_bound(H, x, epsilon):
         raise ValueError("need epsilon > 0")
     k = H.k
     sv = singular_series(H)
-    if sv.value == 0.0:
-        log.warning("theorem_bound: inadmissible tuple, bound is vacuous")
+    if sv.value == 0.0:  # some p <= k has nu(p) = p, and _weights names it
+        _weights(*_nu_table(H, k + 1))
     try:
         return (2.0 + epsilon) ** k * math.factorial(k) * sv.value * x / math.log(x) ** k
     except OverflowError:
@@ -202,9 +190,8 @@ def gamma_cross_check(H, z):
         raise ValueError("need z >= 16")
     H = as_tuple(H)
     nu = _nu_table(H, z)
-    W = _positive_W(*nu)
     k = H.k
-    return 1.0 / (_G(z, *nu) * W * math.exp(np.euler_gamma * k) * math.factorial(k))
+    return 1.0 / (_G(z, *nu) * _W(*nu) * math.exp(np.euler_gamma * k) * math.factorial(k))
 
 
 @dataclass(frozen=True)
@@ -230,6 +217,7 @@ def sieve_report(H, x, z=None, epsilon=None, table=None):
     Exactly one of z and epsilon must be given; epsilon sets
     z = round(x^(1/(2+epsilon))). The (1 + O(.)) correction of the
     theorem form is reported separately, never folded into the bound.
+    Every refusal comes before the hits are counted, which read or sieve a table.
     """
     H = as_tuple(H)
     if (z is None) == (epsilon is None):
@@ -243,13 +231,13 @@ def sieve_report(H, x, z=None, epsilon=None, table=None):
         z = max(2, round(x ** (1.0 / (2.0 + epsilon))))
     z = int(z)
     k = H.k
-    actual = count_tuple_hits(table, H, x)
     nu = _nu_table(H, z)
-    W, G = _W(*nu), _G(z, *nu)
+    G, W = _G(z, *nu), _W(*nu)
     raw = _raw_bound(x, z, G, W)
     thm = theorem_bound(H, x, eps_for_bound)
     alpha1, L = omega_constants(H)
     correction = (math.log(math.log(3.0 * x)) + k ** 3 + L) / math.log(x)
+    actual = count_tuple_hits(table, H, x)
     ratio = actual / thm if thm > 0 else math.inf
     return SieveReport(
         H, int(x), z, epsilon, G, W, raw, thm, actual, ratio, alpha1, L, correction

@@ -1,7 +1,17 @@
 import mpmath
 import pytest
 
-from primetail import sieve_range
+from primetail import primes, sieve_range
+
+
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """Fail the test if anything sieves: primes._segments, the one sieve loop, raises."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(primes, "_segments", never)
 
 
 @pytest.fixture(scope="session")

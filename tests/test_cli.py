@@ -289,29 +289,47 @@ def test_selberg_gamma_table_bytes_pinned(capsys):
 
 @pytest.mark.parametrize("extra", [("--z", "100000002"),
                                    ("--z", "240", "--gamma-table", "1000,100000002")])
-def test_selberg_z_over_prime_budget_exits_3(capsys, monkeypatch, extra):
+def test_selberg_z_over_prime_budget_exits_3(capsys, monkeypatch, no_sieve, extra):
     def never(*args, **kwargs):
         raise AssertionError("sieved")
 
     monkeypatch.setattr("primetail.cli.sieve_range", never)
-    monkeypatch.setattr("primetail.primes._segments", never)
     code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "1000", *extra)
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "primes up to 100000001 exceed the prime budget" in err
 
 
-def test_selberg_bad_gamma_z_sieves_nothing(capsys, monkeypatch):
+def test_selberg_bad_gamma_z_sieves_nothing(capsys, monkeypatch, no_sieve):
     # the gamma rows need no table, so a z below 16 fails before one is loaded or sieved
     def never(*args, **kwargs):
         raise AssertionError("sieved or loaded")
 
     monkeypatch.setattr("primetail.cli._load_table", never)
-    monkeypatch.setattr("primetail.primes._segments", never)
     code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "100000000", "--z", "240",
                              "--gamma-table", "5")
     assert (code, out) == (2, "")
     assert err == "error: need z >= 16\n"
+
+
+def test_selberg_z_below_two_sieves_nothing(capsys, no_sieve):
+    # the report refuses z = 1 before it counts hits, so no table to 10^8 is sieved
+    code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "100000000", "--z", "1")
+    assert (code, out, err) == (2, "", "error: need z >= 2\n")
+
+
+@pytest.mark.parametrize("extra", [("--z", "100"), ("--z", "100", "--gamma-table", "1000"),
+                                   ("--z", "3")])
+def test_selberg_inadmissible_exits_2(capsys, monkeypatch, extra):
+    # nu(3) = 3 for (0, 2, 4): G(z) has no weight at 3 once z > 3, and at z = 3 the theorem
+    # bound is a vacuous 0; either way the table is never sieved
+    def never(*args, **kwargs):
+        raise AssertionError("sieved a table")
+
+    monkeypatch.setattr("primetail.primes.sieve_range", never)
+    code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2,4", "--x", "100000", *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: nu(3) = 3: the tuple covers every residue class mod 3\n"
 
 
 def test_selberg_budget_check_sieves_nothing(capsys, monkeypatch):
@@ -482,7 +500,7 @@ def test_memory_error_exits_3(capsys, monkeypatch, message):
     def out_of_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr("primetail.cli.sieve_range", out_of_memory)
+    monkeypatch.setattr("primetail.primes.sieve_range", out_of_memory)
     code, out, err = run_cli(capsys, "moments", "--x", "100", "--h", "5", "--r-max", "1")
     assert code == 3
     assert out == ""

@@ -196,11 +196,7 @@ def test_primes_upto_memory_bounded():
     assert peak <= 2.5 * out.nbytes, peak / out.nbytes
 
 
-def test_primes_upto_refuses_past_budget_before_sieving(monkeypatch):
-    def never(lo, hi):
-        raise AssertionError("sieved")
-
-    monkeypatch.setattr(primes, "_segments", never)
+def test_primes_upto_refuses_past_budget_before_sieving(no_sieve):
     n = primes._PRIME_BUDGET + 1
     with pytest.raises(ResourceError, match=f"primes up to {n} exceed the prime budget"):
         primes.primes_upto(n)
@@ -304,6 +300,11 @@ def test_window_counts_brute_force(table_1e6):
             c = sum(1 for t in range(n + 1, n + m + 1) if table_1e6.is_prime(t))
             brute[c] = brute.get(c, 0) + 1
         assert hist.counts == brute
+
+
+def test_window_counts_sieves_its_own_range(table_1e6):
+    # a None table is sieved over [0, x + ceil(h)], the range the pass needs
+    assert window_counts(None, 10 ** 6, 13.8) == window_counts(table_1e6, 10 ** 6, 13.8)
 
 
 def test_window_counts_chunk_invariance(table_1e6, monkeypatch):

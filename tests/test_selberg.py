@@ -1,6 +1,5 @@
 """Sieve weights G(z), products W(z), bounds, and the gamma cross-check."""
 
-import logging
 import math
 import tracemalloc
 
@@ -68,11 +67,11 @@ def test_big_G_small_values():
 
 
 def _g_oracle(H, z):
-    """math.fsum over squarefree d < z of trial-division products, skipping nu(p) = p."""
+    """math.fsum over squarefree d < z of trial-division products."""
     terms = []
     for d in range(1, z):
         fac = _trial_factorization(d)
-        if any(e > 1 for e in fac.values()) or any(_nu(H, p) == p for p in fac):
+        if any(e > 1 for e in fac.values()):
             continue
         w = 1.0
         for p in sorted(fac):
@@ -95,12 +94,20 @@ EDGE_ZS = (2, 3, 4, 5, 30, 31, 32, 61, 62, 64, 65, 66, 129, 961, 962, 1369, 1370
 
 @pytest.mark.parametrize("offs", [(0, 2), (0, 2, 6), (0, 1, 2), (0, 2, 4)], ids=str)
 def test_big_G_matches_fsum_oracle_across_edges(offs, monkeypatch):
+    # (0, 1, 2) covers every class mod 2 and mod 3, (0, 2, 4) mod 3: big_G refuses exactly
+    # the z above such a prime
     H = Tuple(offs)
     for z in EDGE_ZS:
-        want = _g_oracle(H, z)
+        covered = any(len({t % p for t in offs}) == p for p in range(2, z)
+                      if _trial_factorization(p) == {p: 1})
         for block in (64, 30):
             monkeypatch.setattr(selberg, "_G_BLOCK", block)
-            assert abs(big_G(z, H) - want) <= 4 * math.ulp(want), (offs, z, block)
+            if covered:
+                with pytest.raises(InadmissibleModulusError):
+                    big_G(z, H)
+            else:
+                want = _g_oracle(H, z)
+                assert abs(big_G(z, H) - want) <= 4 * math.ulp(want), (offs, z, block)
 
 
 def test_big_G_monotone_in_z():
@@ -109,13 +116,21 @@ def test_big_G_monotone_in_z():
     assert big_G(50, TWIN) == big_G(51, TWIN) < big_G(52, TWIN)
 
 
-def test_big_G_skips_covered_primes(caplog):
-    H = Tuple.parse("0,1,2")  # nu(2) = 2 and nu(3) = 3
-    with caplog.at_level(logging.WARNING):
-        total = big_G(10, H)
-    assert "skipping 2 primes with nu(p) = p" in caplog.text
-    # remaining moduli are 1, 5, 7 with nu = 3
-    assert total == pytest.approx(1 + 3 / 2 + 3 / 4, rel=1e-14)
+def test_big_G_refuses_covered_primes():
+    # nu(2) = 2 and nu(3) = 3: the first such prime is named, in g_value's words
+    H = Tuple.parse("0,1,2")
+    for z in (3, 10):
+        with pytest.raises(InadmissibleModulusError, match=r"^nu\(2\) = 2: ") as ei:
+            big_G(z, H)
+        with pytest.raises(InadmissibleModulusError) as gi:
+            g_value(2, H)
+        assert str(ei.value) == str(gi.value)
+    with pytest.raises(InadmissibleModulusError, match=r"^nu\(3\) = 3: ") as ei:
+        big_G(10, Tuple.parse("0,2,4"))
+    with pytest.raises(InadmissibleModulusError) as gi:
+        g_value(15, Tuple.parse("0,2,4"))
+    assert str(ei.value) == str(gi.value)
+    assert big_G(3, Tuple.parse("0,2,4")) == 2.0  # d = 1, 2 with nu(2) = 1
 
 
 def test_big_W_values():
@@ -157,11 +172,7 @@ def test_nu_table_memory_sliced():
     assert peak <= 4 * 2 ** 20, peak
 
 
-def test_prime_budget_refused_before_sieving(monkeypatch):
-    def never(lo, hi):
-        raise AssertionError("sieved")
-
-    monkeypatch.setattr(primes, "_segments", never)
+def test_prime_budget_refused_before_sieving(no_sieve):
     z = primes._PRIME_BUDGET + 2
     for fn in (big_G, big_W):
         with pytest.raises(ResourceError, match="budget"):
@@ -170,12 +181,8 @@ def test_prime_budget_refused_before_sieving(monkeypatch):
         gamma_cross_check(TWIN, z)
 
 
-def test_huge_span_refused_before_sieving(monkeypatch):
+def test_huge_span_refused_before_sieving(no_sieve):
     # the difference 2 (10^8 + 7)^2 needs primes up to 1.4 * 10^8 to factor
-    def never(lo, hi):
-        raise AssertionError("sieved")
-
-    monkeypatch.setattr(primes, "_segments", never)
     H = Tuple((0, 2 * (10 ** 8 + 7) ** 2))
     for call in (big_G, big_W, lambda z, H: gamma_cross_check(H, z),
                  lambda z, H: omega2_deviation(H, 2, z)):
@@ -258,10 +265,11 @@ def test_theorem_bound_overflow_is_inf():
     assert theorem_bound(TWIN, 1000, 1e300) == math.inf
 
 
-def test_theorem_bound_inadmissible_vacuous(caplog):
-    with caplog.at_level(logging.WARNING):
-        assert theorem_bound(Tuple.parse("0,1"), 10 ** 4, 0.1) == 0.0
-    assert "vacuous" in caplog.text
+def test_theorem_bound_refuses_inadmissible():
+    # S(H) = 0 would make the bound a vacuous 0; the refusal names a prime p <= k with nu(p) = p
+    for text, p in (("0,1", 2), ("0,2,4", 3), ("0,1,2", 2)):
+        with pytest.raises(InadmissibleModulusError, match=rf"^nu\({p}\) = {p}: "):
+            theorem_bound(Tuple.parse(text), 10 ** 4, 0.1)
 
 
 def test_theorem_bound_validation():
@@ -330,6 +338,21 @@ def test_sieve_report_refuses_epsilon_before_counting(monkeypatch, epsilon):
     monkeypatch.setattr(selberg, "_nu_table", never)
     with pytest.raises(ValueError, match=r"need epsilon > 0"):
         sieve_report(TWIN, 100, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("text, z, message", [
+    ("0,2", 1, r"need z >= 2"),
+    ("0,2,4", 100, r"nu\(3\) = 3: "),  # through G(z): 3 < z
+    ("0,2,4", 3, r"nu\(3\) = 3: "),  # through the theorem bound: G(3) and W(3) are fine
+], ids=["z-below-2", "through-G", "through-theorem-bound"])
+def test_sieve_report_refuses_before_counting(monkeypatch, text, z, message):
+    def never(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(selberg, "count_tuple_hits", never)
+    H = Tuple.parse(text)
+    with pytest.raises(ValueError, match=message):
+        sieve_report(H, 10 ** 5, z=z)
 
 
 def test_sieve_report_composition(table_1e6):

@@ -26,7 +26,7 @@ from primetail import (
     singular_series,
     tail_log_bound,
 )
-from primetail import primes, singular
+from primetail import singular
 from primetail.errors import ResourceError
 from primetail.primes import primes_upto
 from primetail.singular import _prime_factors, singular_series_block
@@ -127,7 +127,7 @@ def test_prime_factors_seeded_batch_with_large_semiprimes():
     assert _prime_factors(many) == [want[d] for d in many.tolist()]
 
 
-def test_prime_factors_fixed_cases(monkeypatch):
+def test_prime_factors_fixed_cases():
     ds = [1, 2, 2 ** 22 - 1, 2 ** 22, 2 ** 22 + 1, 9699690, 2 * 10007 * 10009, 2 ** 40 - 87]
     got = _prime_factors(ds)
     assert got == [_trial_division_primes(d) for d in ds]
@@ -137,13 +137,11 @@ def test_prime_factors_fixed_cases(monkeypatch):
     for bad in ([0], [5, -3]):
         with pytest.raises(ValueError):
             _prime_factors(bad)
+
+
+def test_prime_factors_past_budget_sieves_nothing(no_sieve):
     # a difference above 10^16 would need the primes past the 10^8 prime budget;
     # primes_upto refuses them before any sieving
-
-    def never(lo, hi):
-        raise AssertionError("sieved")
-
-    monkeypatch.setattr(primes, "_segments", never)
     with pytest.raises(ResourceError, match="prime budget"):
         _prime_factors([6, (10 ** 8 + 7) ** 2])
 
