@@ -52,6 +52,7 @@ from .selberg import (
     gamma_cross_check,
     omega_constants,
     omega2_deviation,
+    resolve_z,
     sieve_report,
     sieve_upper_bound,
     theorem_bound,

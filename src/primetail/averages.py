@@ -40,7 +40,8 @@ class EstimateWithError:
 def tkh_exact(k, h):
     """T_k(h) = k! sum over 0 < d_2 < ... < d_k < h of (h - d_k) S({0, d_2, ..., d_k}).
 
-    The C(h-1,k-1) anchored rows are streamed in blocks of at most 2^14.
+    The anchored rows, the first C(h-1,k-1) k-subsets of range(h) in
+    lexicographic order, are streamed in blocks of at most 2^14.
     The reported error bounds the distance of the printed value from T_k(h):
     the weighted radii of the rows plus the rounding of the sums that form
     it. Raises ResourceError if the anchored rows exceed DEFAULT_BUDGET.
@@ -55,11 +56,11 @@ def tkh_exact(k, h):
         )
     if k == 1:
         return ValueWithError(float(h), 0.0)
-    flat = chain.from_iterable(combinations(range(1, h), k - 1))
+    flat = chain.from_iterable(islice(combinations(range(h), k), n_rows))
     total = radii = 0.0
-    while len(ds := np.fromiter(islice(flat, _BLOCK * (k - 1)), np.int64).reshape(-1, k - 1)):
-        vals, rads, _ = singular_series_block(np.hstack([np.zeros((len(ds), 1), np.int64), ds]))
-        weights = h - ds[:, -1]
+    while len(rows := np.fromiter(islice(flat, _BLOCK * k), np.int64).reshape(-1, k)):
+        vals, rads, _ = singular_series_block(rows)
+        weights = h - rows[:, -1]
         total += float(weights @ vals)
         radii += float(weights @ rads)
     # k! scales the sum's exact ratio and int division rounds once, so a value in the float
@@ -99,20 +100,18 @@ def _subsets(rng, k, h, m):
     return rows
 
 
-def _sample_values(rng, k, h, n):
-    """n singular-series values at uniform random k-subsets of [1, h], _BATCH rows at a time."""
-    out = np.empty(n)
-    for i in range(0, n, _BATCH):
-        rows = _subsets(rng, k, h, min(_BATCH, n - i))
+def _sample_values(rng, k, h, out):
+    """Fill out with S at uniform random k-subsets of [1, h], _BATCH rows at a time."""
+    for i in range(0, len(out), _BATCH):
+        rows = _subsets(rng, k, h, min(_BATCH, len(out) - i))
         out[i : i + len(rows)] = singular_series_block(rows - rows[:, :1])[0]
-    return out
 
 
 def tkh_monte_carlo(k, h, samples, seed, workers=1):
     """Mean of S over uniform random sorted k-subsets of [1, h].
 
-    T_k(h) = k! C(h,k) * mean. Each worker w draws its quota from the
-    stream seeded by SeedSequence(seed, spawn_key=(w,)), so the estimate
+    T_k(h) = k! C(h,k) * mean. Worker w fills its slice of the samples from
+    the stream seeded by SeedSequence(seed, spawn_key=(w,)), so the estimate
     is bit-reproducible for fixed (seed, samples, workers).
     """
     if not 1 <= k <= h:
@@ -122,16 +121,10 @@ def tkh_monte_carlo(k, h, samples, seed, workers=1):
     if workers < 1:
         raise ValueError("need workers >= 1")
     vals = np.empty(samples)
-    pos = 0
-    for w in range(workers):
-        quota = samples // workers + (1 if w < samples % workers else 0)
-        if quota == 0:
-            continue
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(w,)))
-        )
-        vals[pos : pos + quota] = _sample_values(rng, k, h, quota)
-        pos += quota
+    q, r = divmod(samples, workers)  # worker w fills q samples, one more while w < r
+    for w in range(min(workers, samples)):  # a worker past samples would fill nothing
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(w,)))
+        _sample_values(rng, k, h, vals[w * q + min(w, r) : (w + 1) * q + min(w + 1, r)])
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return EstimateWithError(mean, stderr, samples, int(seed), int(workers))

@@ -17,17 +17,15 @@ from dataclasses import fields
 from .averages import tkh_exact, tkh_monte_carlo
 from .errors import ResourceError
 from .hl import hl_sweep
-from .moments import moment_report, tail_report
+from .moments import _log_x, moment_report, tail_report
 from .primes import PrimalityTable, check_prime_budget, sieve_range, window_counts
-from .selberg import gamma_cross_check, sieve_report
+from .selberg import gamma_cross_check, resolve_z, sieve_report
 from .singular import Tuple, jensen_split_bound, singular_series
 
 
 def _jdump(obj):
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_jdump(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_jdump(v) for v in obj) + "]"
     if isinstance(obj, float):
         return format(obj, ".12g") if math.isfinite(obj) else "null"
     return json.dumps(obj)
@@ -78,7 +76,8 @@ def _load_table(args):
 def _resolve_h(args):
     if (args.h is None) == (args.lam is None):
         raise ValueError("give exactly one of --h and --lambda")
-    h = float(args.h) if args.h is not None else args.lam * math.log(args.x)
+    lx = _log_x(args.x)  # x below 2 is refused before the log or the sieve
+    h = float(args.h) if args.h is not None else args.lam * lx
     if h < 1:
         raise ValueError(f"need h >= 1, got h = {h:.6g}: a narrower window holds no integer")
     return h
@@ -156,8 +155,8 @@ def _cmd_hl(args):
 def _cmd_selberg(args):
     H = Tuple.parse(args.tuple)
     gamma_zs = [int(v) for v in args.gamma_table.split(",")] if args.gamma_table else []
-    # a z past the prime budget fails before the primes below a smaller z are sieved
-    check_prime_budget(max([args.z or 2, *gamma_zs]) - 1)
+    # a bad z or epsilon, or a z past the prime budget, fails before any gamma row is computed
+    check_prime_budget(max([resolve_z(args.x, args.z, args.epsilon), *gamma_zs]) - 1)
     # the gamma rows need no table, and the report refuses before it counts hits in one
     gammas = [{"tuple": str(H), "z": z, "gamma_ratio": gamma_cross_check(H, z)} for z in gamma_zs]
     rep = sieve_report(H, args.x, z=args.z, epsilon=args.epsilon, table=_load_table(args))

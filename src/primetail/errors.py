@@ -4,7 +4,7 @@
 class CoverageError(ValueError):
     """A primality table was asked about integers outside its range.
 
-    Carries the limit the table would have needed so callers can re-sieve.
+    Carries the required range as required_lo, required_hi; the message names the table's too.
     """
 
     def __init__(self, required_lo, required_hi, have_lo, have_hi):

@@ -149,11 +149,16 @@ class TailReport:
     corollary_bound_eff: float | None
 
 
+def _log_x(x):
+    """log x, the denominator of lambda = h / log x; x below 2 is refused."""
+    if x < 2:
+        raise ValueError(f"need x >= 2 for lambda = h / log x, got x = {x}")
+    return math.log(x)
+
+
 def _lambdas(hist):
-    """(lambda, lambda_eff) = (h / log x, m_1) of a window histogram; needs x >= 2."""
-    if hist.x < 2:
-        raise ValueError(f"need x >= 2 for lambda = h / log x, got x = {hist.x}")
-    return hist.h / math.log(hist.x), empirical_moment(hist, 1)
+    """(lambda, lambda_eff) = (h / log x, m_1) of a window histogram."""
+    return hist.h / _log_x(hist.x), empirical_moment(hist, 1)
 
 
 def moment_report(hist, r):

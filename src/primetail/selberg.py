@@ -21,10 +21,23 @@ from .singular import as_tuple, singular_series, Tuple, _anchored, _nu_rows, _pr
 _G_BLOCK = 1 << 16  # d per block of the G(z) sieve
 
 
+def resolve_z(x, z=None, epsilon=None):
+    """The sieve level: exactly one of a z >= 2 and an epsilon > 0, which sets
+    z = max(2, round(x^(1/(2+epsilon)))), that is 2 for every x below 2."""
+    if (z is None) == (epsilon is None):
+        raise ValueError("give exactly one of z and epsilon")
+    if epsilon is None:
+        if z < 2:
+            raise ValueError("need z >= 2")
+        return int(z)
+    if not epsilon > 0:
+        raise ValueError("need epsilon > 0")
+    return max(2, round(x ** (1.0 / (2.0 + epsilon)))) if x >= 2 else 2
+
+
 def _nu_table(H, z):
     """(primes p < z, nu_H(p)) as parallel arrays; nu is k at each p dividing no difference."""
-    if z < 2:
-        raise ValueError("need z >= 2")
+    z = resolve_z(None, z)  # refuses z < 2
     H = as_tuple(H)
     # the differences are factored before any sieving: a span past the prime budget fails here
     fs = sorted({p for f in _prime_factors(H.pairwise_diffs()) for p in f if p < z})
@@ -49,10 +62,8 @@ def g_value(d, H):
 
     Multiplicative, so each prime contributes nu(p)/(p - nu(p)).
     """
-    if d < 1:
-        raise ValueError("need d >= 1")
     H = as_tuple(H)
-    fs = _prime_factors([d])[0]
+    fs = _prime_factors([d])[0]  # refuses d < 1
     if math.prod(fs) != d:  # the distinct primes of d multiply to d iff d is squarefree
         raise ValueError(f"{d} is not squarefree")
     ps = np.array(fs, dtype=np.int64)
@@ -214,29 +225,19 @@ class SieveReport:
 def sieve_report(H, x, z=None, epsilon=None, table=None):
     """Bounds vs the actual hit count, with the diagnostic constants.
 
-    Exactly one of z and epsilon must be given; epsilon sets
-    z = round(x^(1/(2+epsilon))). The (1 + O(.)) correction of the
-    theorem form is reported separately, never folded into the bound.
-    Every refusal comes before the hits are counted, which read or sieve a table.
+    z comes from resolve_z; the theorem bound, at epsilon or at 0.1 with z,
+    refuses before any nu table is built. The (1 + O(.)) correction of the
+    theorem form is reported separately, never folded into the bound. Every
+    refusal comes before the hits are counted, which read or sieve a table.
     """
     H = as_tuple(H)
-    if (z is None) == (epsilon is None):
-        raise ValueError("give exactly one of z and epsilon")
-    if x < 16:
-        raise ValueError("need x >= 16")
-    if epsilon is not None and not epsilon > 0:
-        raise ValueError("need epsilon > 0")
-    eps_for_bound = epsilon if epsilon is not None else 0.1
-    if z is None:
-        z = max(2, round(x ** (1.0 / (2.0 + epsilon))))
-    z = int(z)
-    k = H.k
+    z = resolve_z(x, z, epsilon)
+    thm = theorem_bound(H, x, 0.1 if epsilon is None else epsilon)
     nu = _nu_table(H, z)
     G, W = _G(z, *nu), _W(*nu)
     raw = _raw_bound(x, z, G, W)
-    thm = theorem_bound(H, x, eps_for_bound)
     alpha1, L = omega_constants(H)
-    correction = (math.log(math.log(3.0 * x)) + k ** 3 + L) / math.log(x)
+    correction = (math.log(math.log(3.0 * x)) + H.k ** 3 + L) / math.log(x)
     actual = count_tuple_hits(table, H, x)
     ratio = actual / thm if thm > 0 else math.inf
     return SieveReport(

@@ -172,6 +172,20 @@ def test_mc_stream_pinned(seed, workers, mean, stderr):
     assert (est.mean, est.stderr) == (mean, stderr)
 
 
+def test_mc_workers_past_samples():
+    # workers 0..99 draw one subset each and workers 100..149 none; the reference draws each
+    # worker's rows from its own stream and evaluates them one tuple at a time
+    seed, rows = 2718, []
+    for w in range(150):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(w,))))
+        rows.extend(averages._subsets(rng, 2, 10, 1 if w < 100 else 0).tolist())
+    vals = np.array([singular_series(Tuple(tuple(r))).value for r in rows])
+    est = tkh_monte_carlo(2, 10, 100, seed, workers=150)
+    assert len(rows) == 100 and 0.0 < vals.mean()
+    assert (est.mean, est.stderr) == (float(vals.mean()), float(vals.std(ddof=1) / 10))
+    assert est.workers == 150
+
+
 def test_mc_k1_degenerate():
     est = tkh_monte_carlo(1, 50, 200, seed=3)
     assert (est.mean, est.stderr) == (1.0, 0.0)

@@ -351,6 +351,35 @@ def test_selberg_budget_check_sieves_nothing(capsys, monkeypatch):
     assert calls.count(999999) == 1
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--z", "50", "--epsilon", "0.1"), "give exactly one of z and epsilon"),
+    ((), "give exactly one of z and epsilon"),
+    (("--epsilon", "0"), "need epsilon > 0"),
+    (("--z", "1"), "need z >= 2"),
+], ids=["both", "neither", "epsilon-0", "z-1"])
+def test_selberg_bad_z_refused_before_gamma_rows(capsys, monkeypatch, no_sieve, extra, message):
+    # resolve_z refuses before the gamma row at 10^7 sieves the primes below it
+    def never(*args, **kwargs):
+        raise AssertionError("computed a gamma row")
+
+    monkeypatch.setattr("primetail.cli.gamma_cross_check", never)
+    code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "1000", *extra,
+                             "--gamma-table", "10000000")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_selberg_epsilon_z_over_prime_budget_exits_3(capsys, monkeypatch, no_sieve):
+    # epsilon = 0.1 at x = 10^18 sets z = 372759372, past the prime budget
+    def never(*args, **kwargs):
+        raise AssertionError("computed a gamma row")
+
+    monkeypatch.setattr("primetail.cli.gamma_cross_check", never)
+    code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", str(10 ** 18),
+                             "--epsilon", "0.1", "--gamma-table", "1000000")
+    assert (code, out) == (3, "")
+    assert err == "error: primes up to 372759371 exceed the prime budget 100000000\n"
+
+
 def test_selberg_z_epsilon_exclusive(capsys):
     code, _, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "10000",
                            "--z", "50", "--epsilon", "0.1")
@@ -528,6 +557,35 @@ def test_window_x_below_2_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: need x >= 2") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("x", ["1", "0", "-5"])
+@pytest.mark.parametrize("argv", [("moments", "--r-max", "1"), ("tail", "--k-max", "1")])
+def test_window_lambda_x_below_2_exits_2(capsys, no_sieve, argv, x):
+    # log x would be 0 or a math domain error; the rule of moments._log_x refuses first
+    code, out, err = run_cli(capsys, *argv, "--x", x, "--lambda", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: need x >= 2 for lambda = h / log x, got x = {x}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sieve-cache", "--limit", "1", "--out", "never.pkt"), "need --limit >= 2"),
+    (("moments", "--x", "100", "--h", "5", "--r-max", "0"), "need --r-max >= 1"),
+    (("tail", "--x", "100", "--h", "5", "--k-max", "-1"), "need --k-max >= 0"),
+], ids=["sieve-cache", "moments", "tail"])
+def test_empty_cli_range_exits_2(capsys, tmp_path, monkeypatch, no_sieve, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "never.pkt").exists()
+
+
+def test_tkh_exact_past_budget_exits_3(capsys):
+    # --mode exact re-raises tkh_exact's ResourceError instead of falling back to Monte Carlo
+    code, out, err = run_cli(capsys, "tkh", "--k", "10", "--h", "100", "--mode", "exact")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: C(h-1,k-1) = 1731030945644 anchored rows exceed budget")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

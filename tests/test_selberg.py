@@ -15,6 +15,7 @@ from primetail import (
     gamma_cross_check,
     omega2_deviation,
     omega_constants,
+    resolve_z,
     sieve_report,
     sieve_upper_bound,
     theorem_bound,
@@ -327,6 +328,26 @@ def test_gamma_cross_check_guards():
         gamma_cross_check(TWIN, 15)
     with pytest.raises(InadmissibleModulusError):
         gamma_cross_check(Tuple.parse("0,1"), 100)
+
+
+def test_resolve_z():
+    for z, epsilon in ((240, 0.1), (None, None)):
+        with pytest.raises(ValueError, match="give exactly one of z and epsilon"):
+            resolve_z(10 ** 5, z, epsilon)
+    for epsilon in (0.0, -1.0, -2.0, math.nan):
+        with pytest.raises(ValueError, match=r"need epsilon > 0"):
+            resolve_z(10 ** 5, epsilon=epsilon)
+    for z in (1, 0, -3):
+        with pytest.raises(ValueError, match=r"need z >= 2"):
+            resolve_z(10 ** 5, z=z)
+    assert resolve_z(10 ** 5, epsilon=0.1) == 240 == round(10 ** (5 / 2.1))
+    assert resolve_z(10 ** 18, epsilon=0.1) == 372759372
+    # x^(1/(2+eps)) rounds to 2 or less, or has no real value: the floor holds
+    for x, epsilon in ((16, 100.0), (3, 0.1), (1, 0.1), (0, 0.1), (-5, 0.1)):
+        assert resolve_z(x, epsilon=epsilon) == 2
+    for z in (2, 240, 2.0):
+        got = resolve_z(None, z=z)
+        assert got == z and type(got) is int
 
 
 @pytest.mark.parametrize("epsilon", [-2.0, -1.9, -1.0, 0.0])
