@@ -61,12 +61,14 @@ def tkh_exact(k, h):
     while len(rows := np.fromiter(islice(flat, _BLOCK * k), np.int64).reshape(-1, k)):
         vals, rads, _ = singular_series_block(rows)
         weights = h - rows[:, -1]
-        total += float(weights @ vals)
-        radii += float(weights @ rads)
+        # math.fsum, not a BLAS dot, so that no sum depends on the BLAS thread count
+        total = math.fsum([total, *(weights * vals).tolist()])
+        radii = math.fsum([radii, *(weights * rads).tolist()])
     # k! scales the sum's exact ratio and int division rounds once, so a value in the float
-    # range survives any k. Each nonnegative term of total and radii is rounded at most
-    # n = rows + blocks times, the k! scaling included, so with u = 2^-53 and
-    # g = n u / (1 - n u) each sum is within g times its exact value of it, and the value within
+    # range survives any k. Each nonnegative term of total and radii is rounded once as a
+    # product and once per block by math.fsum, at most n = rows + blocks times with the k!
+    # scaling, so with u = 2^-53 and g = n u / (1 - n u) each sum is within g times its exact
+    # value of it, and the value within
     # k! (radii + g total) / (1 - g) = k! (radii (1 - n u) + n u total) / (1 - 2 n u) of T_k(h)
     kf = math.factorial(k)
     tn, td = total.as_integer_ratio()

@@ -19,7 +19,7 @@ from .errors import ResourceError
 from .hl import hl_sweep
 from .moments import _log_x, moment_report, tail_report
 from .primes import PrimalityTable, check_prime_budget, sieve_range, window_counts
-from .selberg import gamma_cross_check, resolve_z, sieve_report
+from .selberg import _theorem_epsilon, gamma_cross_check, resolve_z, sieve_report
 from .singular import Tuple, jensen_split_bound, singular_series
 
 
@@ -155,7 +155,8 @@ def _cmd_hl(args):
 def _cmd_selberg(args):
     H = Tuple.parse(args.tuple)
     gamma_zs = [int(v) for v in args.gamma_table.split(",")] if args.gamma_table else []
-    # a bad z or epsilon, or a z past the prime budget, fails before any gamma row is computed
+    # a bad x, z or epsilon, or a z past the prime budget, fails before any gamma row is computed
+    _theorem_epsilon(args.x, args.epsilon)
     check_prime_budget(max([resolve_z(args.x, args.z, args.epsilon), *gamma_zs]) - 1)
     # the gamma rows need no table, and the report refuses before it counts hits in one
     gammas = [{"tuple": str(H), "z": z, "gamma_ratio": gamma_cross_check(H, z)} for z in gamma_zs]

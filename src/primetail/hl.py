@@ -3,7 +3,7 @@
 Compares pi_H(x) against S(H) li_k(x) and the von Mangoldt weighted sum
 against S(H) x, reporting the raw error and two square-root-scale
 normalizations. Every report comes from one primes.tuple_counts pass over
-the table, one singular series and one quadrature routine.
+a table or the streamed sieve, one singular series and one quadrature routine.
 """
 
 import math

@@ -1,16 +1,18 @@
-"""Bit-packed segmented sieve and counting passes over it.
+"""Segmented sieve, the bit-packed table that caches it, and counting passes.
 
 The table stores one bit per odd integer, 64 per little-endian word, so the
 range to 10^8 fits in ~6 MB and popcounts come straight off the words; its
 readers add 2. Window counts and the one tuple pass (hits and Lambda sums)
-stream the table in chunks, never more than a few million unpacked flags at
-once. Past the unpack, a chunk of window counts costs one pass over its
-primes per tail level G_k = #{n : c(n) >= k}: on the gap between consecutive
-primes q_i <= n < q_{i+1}, c(n) >= k exactly when n >= q_{i+k} - floor(h).
+read the odd flags of one chunk of n at a time: unpacked from a table, or
+with no table sieved as the chunks advance, so memory is bounded by the
+chunk and segment sizes, not by x, and a table is only a saved sieve. Past
+the flags, a chunk of window counts costs one pass over its primes per tail
+level G_k = #{n : c(n) >= k}: on the gap between consecutive primes
+q_i <= n < q_{i+1}, c(n) >= k exactly when n >= q_{i+k} - floor(h).
 Every list of small primes in the package (sieving primes, factoring, local
 factors, sieve weights) comes from primes_upto, which sieves afresh on each
 call. One segmented Eratosthenes pass over odd n, _segments, makes those
-lists and fills the tables with the flags it sieves; each segment starts
+lists, feeds the streaming passes and fills the tables; each segment starts
 from a copy of the odd flags presieved by 3, 5, 7, 11 and 13 (Pritchard's
 wheel), and the larger primes cross out the rest.
 """
@@ -207,13 +209,47 @@ class WindowHistogram:
     counts: dict
 
 
+def _odd_blocks(table, x, lo_off, hi_off):
+    """Yield (a, b, flags) for each _CHUNK block [a, b] of n in [1, x].
+
+    flags are the odd flags of [a + lo_off, b + hi_off], flag i for
+    ((a + lo_off) | 1) + 2i, read only. A table's are unpacked from its words;
+    with no table, _segments sieves them as the blocks advance. The segments
+    a block reaches are kept until a later block starts past them, and only
+    a block that spans segments is copied, so memory holds about a segment
+    and a block whatever x is.
+    """
+    if table is None:
+        segs = _segments(1 + lo_off, x + hi_off)
+        parts, start = [np.zeros(0, dtype=bool)], (1 + lo_off) | 1  # flags from start on, in order
+    for a in range(1, x + 1, _CHUNK):
+        b = min(a + _CHUNK - 1, x)
+        lo, hi = a + lo_off, b + hi_off
+        if table is not None:
+            yield a, b, table._odd_flags(lo, hi)
+            continue
+        drop, start, size = ((lo | 1) - start) >> 1, lo | 1, (hi + 1) // 2 - lo // 2
+        while len(parts[0]) < drop:
+            drop -= len(parts.pop(0))
+        parts[0] = parts[0][drop:]
+        lens = [len(p) for p in parts]
+        while sum(lens) < size:
+            parts.append(next(segs)[1])
+            lens.append(len(parts[-1]))
+        if lens[0] >= size:
+            yield a, b, parts[0][:size]
+        else:  # the block spans segments: copy just its flags
+            offs = np.cumsum([0, *lens[:-1]])
+            yield a, b, np.concatenate([p[: max(size - o, 0)] for p, o in zip(parts, offs)])
+
+
 def window_counts(table, x, h):
     """Histogram of c(n) = #{primes in (n, n+h]} over n = 1..x.
 
     Windows are half-open at the left, so for integer n they hold the
-    integers n+1 .. n+floor(h). The table must cover [1, x + ceil(h)]; a
-    None table is sieved over [0, x + ceil(h)]. With m = floor(h), each
-    _CHUNK block [a, b] of n is counted by its tail levels
+    integers n+1 .. n+floor(h). A table must cover [1, x + ceil(h)]; with
+    None the pass streams off the sieve. With m = floor(h), each _CHUNK
+    block [a, b] of n is counted by its tail levels
     G_k = #{n in [a, b] : c(n) >= k}: if q_1 < q_2 < ... are the primes in
     (a, b + m], then on the gap [S_i, E_i) = [q_i, min(q_{i+1}, b + 1))
     (with S_0 = a) c(n) >= k exactly when n >= q_{i+k} - m, so
@@ -224,14 +260,15 @@ def window_counts(table, x, h):
         raise ValueError("x must be >= 1")
     if not (h > 0) or not math.isfinite(h):
         raise ValueError("h must be positive and finite")
-    if table is None:
-        table = sieve_range(0, x + math.ceil(h))
-    table.require_cover(1, x + math.ceil(h))
+    if table is not None:
+        table.require_cover(1, x + math.ceil(h))
     m = int(h)
     acc = np.zeros(m + 2, dtype=np.int64)
-    for a in range(1, x + 1, _CHUNK):
-        b = min(a + _CHUNK - 1, x)
-        levels = _tail_levels(table.primes(a + 1, b + m) - a, b + 1 - a, m)
+    for a, b, flags in _odd_blocks(table, x, 1, m):
+        qs = np.flatnonzero(flags) * 2 + (((a + 1) | 1) - a)
+        if a + 1 <= 2 <= b + m:
+            qs = np.concatenate(([2 - a], qs))
+        levels = _tail_levels(qs, b + 1 - a, m)
         acc[: len(levels) - 1] -= np.diff(levels)
     counts = {int(c): int(n) for c, n in enumerate(acc) if n}
     return WindowHistogram(x, float(h), counts)
@@ -265,14 +302,15 @@ def _tail_levels(qs, size, m):
 
 
 def _prime_powers(hi):
-    """log p for each prime power p^j <= hi with j >= 2, keyed by p^j."""
-    out = {}
+    """The prime powers p^j <= hi with j >= 2, ascending, and log p for each."""
+    pairs = []
     for p in primes_upto(math.isqrt(hi)).tolist():
         q = p * p
         while q <= hi:
-            out[q] = math.log(p)
+            pairs.append((q, math.log(p)))
             q *= p
-    return out
+    pairs.sort()
+    return np.array([q for q, _ in pairs], dtype=np.int64), np.array([lp for _, lp in pairs])
 
 
 def vonmangoldt(table, lo, hi):
@@ -282,52 +320,59 @@ def vonmangoldt(table, lo, hi):
     lam = np.zeros(hi - lo + 1)
     at = np.flatnonzero(table.bools(lo, hi))
     lam[at] = np.log((at + lo).astype(np.float64))
-    for q, lp in _prime_powers(hi).items():
-        if q >= lo:
-            lam[q - lo] = lp
+    qs, logs = _prime_powers(hi)
+    sel = qs >= lo
+    lam[qs[sel] - lo] = logs[sel]
     return lam
 
 
 def tuple_counts(table, offsets, xs):
     """Yield hits and the sum of prod_i Lambda(n + h_i) over n <= x, per x in xs.
 
-    offsets ascend from >= 0, xs from >= 1; a None table is sieved first. Each
-    _CHUNK block ANDs prime-power flags once; Lambda is taken only at those
-    survivors (hits where every n + h_i is prime) and summed left to right, so
-    each sum is the dense sum's float, whose other terms are exactly 0.0.
+    offsets ascend from >= 0, xs from >= 1; with no table the pass streams
+    off the sieve. Lambda(n + h_i) is nonzero only at prime powers, so the
+    nonzero terms come from two disjoint sets of n per _CHUNK block: those
+    whose members are all odd primes, one AND of the odd flags shifted by
+    (h_i - h_1) / 2 when the offsets share a parity, and the few with a
+    member 2^j or an odd p^j (j >= 2), each checked apart. Lambda is taken
+    only there and summed left to right, so each sum is the dense sum's
+    float, whose other terms are exactly 0.0.
     """
     offs, top = list(offsets), int(xs[-1])
-    if table is None:
-        table = sieve_range(0, top + offs[-1] + 1)
-    table.require_cover(1 + offs[0], top + offs[-1])
+    if table is not None:
+        table.require_cover(1 + offs[0], top + offs[-1])
     xs = np.asarray(xs, dtype=np.int64)
-    powers = _prime_powers(top + offs[-1])
+    t = np.array(offs, dtype=np.int64)
+    qs, logs = _prime_powers(top + offs[-1])
+    shifts = [(u - offs[0]) // 2 for u in offs[1:]]
+    same = all(u % 2 == offs[0] % 2 for u in offs)
     hit_sums, lam_sums = np.zeros(1, dtype=np.int64), np.zeros(1)
-    for a in range(1, top + 1, _CHUNK):
-        n = min(_CHUNK, top - a + 1)
-        lo, hi = a + offs[0], a + n - 1 + offs[-1]
-        flags = table.bools(lo, hi)
-        pp = [q - lo for q in powers if lo <= q <= hi]
-        flags[pp] = True  # now prime or prime power; a survivor is prime unless in pp
-        acc = flags[:n].copy()
-        for d in (t - offs[0] for t in offs[1:]):
-            acc &= flags[d : d + n]
-        at = np.flatnonzero(acc)
+    for a, b, flags in _odd_blocks(table, top, offs[0], offs[-1]):
+        lo, hi = a + offs[0], b + offs[-1]
+        n0 = (lo | 1) - offs[0]  # n0, n0 + 2, ... have every member odd, if the offsets share a parity
+        acc = flags[: max((b - n0) // 2 + 1, 0) if same else 0].copy()
+        for s in shifts:
+            acc &= flags[s : s + len(acc)]
+        i, j = np.searchsorted(qs, (lo, hi + 1))
+        bq, bl = qs[i:j], logs[i:j]  # the prime powers among the members
+        near = np.unique((np.append(bq, 2) if lo <= 2 <= hi else bq)[:, None] - t)
+        near = near[(near >= a) & (near <= b)]  # the n with such a member, or with 2
+        m = near[:, None] + t
+        nonzero, odd = np.isin(m, bq) | (m == 2), (m & 1) == 1
+        nonzero[odd] |= flags[(m[odd] - (lo | 1)) >> 1]
+        at = np.sort(np.concatenate((n0 + 2 * np.flatnonzero(acc), near[nonzero.all(axis=1)])))
         hit, prod = np.ones(len(at), dtype=bool), np.ones(len(at))
-        for t in offs:
-            m = at + (a + t)
-            prime = ~np.isin(m - lo, pp)
+        for u in offs:
+            m = at + u
+            power = np.isin(m, bq)
             lam = np.log(m)
-            lam[~prime] = [powers[q] for q in m[~prime].tolist()]
-            hit &= prime
+            lam[power] = bl[np.searchsorted(bq, m[power])]
+            hit &= ~power
             prod *= lam
-        ends = np.searchsorted(at, xs[(xs >= a) & (xs < a + n)] - a, side="right")
+        ends = np.searchsorted(at, xs[(xs >= a) & (xs <= b)], side="right")
         hit_sums = np.cumsum(np.concatenate((hit_sums[-1:], hit)))
         lam_sums = np.cumsum(np.concatenate((lam_sums[-1:], prod)))
         yield from zip(hit_sums[ends].tolist(), lam_sums[ends].tolist())
-        # flags lives on until the next block's replace it: memory stays one block, and
-        # freeing it here too would let malloc trim the heap the next block refaults
-        del acc
 
 
 def count_tuple_hits(table, offsets, x):

@@ -143,17 +143,26 @@ def sieve_upper_bound(H, x, z):
     return _raw_bound(x, z, _G(z, *nu), _W(*nu))
 
 
+def _theorem_epsilon(x, epsilon):
+    """The epsilon of the theorem bound at x, 0.1 for None (a report given z); refuses
+    x < 16 and epsilon <= 0 before any work on the tuple."""
+    if x < 16:
+        raise ValueError("need x >= 16")
+    if epsilon is None:
+        return 0.1
+    if epsilon <= 0:
+        raise ValueError("need epsilon > 0")
+    return epsilon
+
+
 def theorem_bound(H, x, epsilon):
-    """(2 + eps)^k k! S(H) x / (log x)^k.
+    """(2 + eps)^k k! S(H) x / (log x)^k, at eps = 0.1 for epsilon None.
 
     An inadmissible tuple has S(H) = 0, which would make the bound a vacuous
     0: InadmissibleModulusError names a prime p <= k with nu(p) = p.
     """
     H = as_tuple(H)
-    if x < 16:
-        raise ValueError("need x >= 16")
-    if epsilon <= 0:
-        raise ValueError("need epsilon > 0")
+    epsilon = _theorem_epsilon(x, epsilon)
     k = H.k
     sv = singular_series(H)
     if sv.value == 0.0:  # some p <= k has nu(p) = p, and _weights names it
@@ -232,7 +241,7 @@ def sieve_report(H, x, z=None, epsilon=None, table=None):
     """
     H = as_tuple(H)
     z = resolve_z(x, z, epsilon)
-    thm = theorem_bound(H, x, 0.1 if epsilon is None else epsilon)
+    thm = theorem_bound(H, x, epsilon)
     nu = _nu_table(H, z)
     G, W = _G(z, *nu), _W(*nu)
     raw = _raw_bound(x, z, G, W)

@@ -313,9 +313,11 @@ def singular_series_block(rows):
     if k <= 1:
         return values, radii, limits
     small = primes_upto(k)
-    for p, nu in zip(small.tolist(), _nu_rows(rows[:, :, None], small, axis=1).T):
-        values *= np.array([_local_factor(p, v, k) for v in range(p + 1)])[nu]
-    live = np.flatnonzero(values)
+    live = np.arange(n)
+    for p in small.tolist():  # each p only sees the rows no smaller prime has zeroed
+        nu = _nu_rows(rows[live], p)
+        values[live] *= np.array([_local_factor(p, v, k) for v in range(p + 1)])[nu]
+        live = live[nu < p]
     if len(live) == 0:
         return values, radii, limits
     H = rows[live]

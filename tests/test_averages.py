@@ -1,12 +1,17 @@
 """T_k(h) paths: exact enumeration, pair fast path, Monte Carlo, size bound."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import primetail
 from primetail import (
     Tuple,
     allk_bound,
@@ -123,6 +128,21 @@ def test_exact_error_covers_kernel_floats(k, h):
     assert Fraction(got.error) >= abs(Fraction(got.value) - exact)
     assert Fraction(got.error) >= radii
     assert 50 * got.error <= kf * math.comb(h, k) * 1e-10
+
+
+def test_exact_independent_of_blas_threads():
+    # the sums are math.fsum, so no BLAS thread count moves a bit of the value or the error
+    src = str(Path(primetail.__file__).parents[1])
+    script = "from primetail import tkh_exact; e = tkh_exact(2, 30000); print(e.value.hex(), e.error.hex())"
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=env, timeout=300)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_budget_raises_with_hint(monkeypatch):

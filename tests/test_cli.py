@@ -368,6 +368,17 @@ def test_selberg_bad_z_refused_before_gamma_rows(capsys, monkeypatch, no_sieve, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_selberg_small_x_refused_before_gamma_rows(capsys, monkeypatch, no_sieve):
+    # the report's x >= 16 refuses before the gamma row at 10^7 sums G over it
+    def never(*args, **kwargs):
+        raise AssertionError("computed a gamma row")
+
+    monkeypatch.setattr("primetail.cli.gamma_cross_check", never)
+    code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "10", "--z", "10",
+                             "--gamma-table", "10000000")
+    assert (code, out, err) == (2, "", "error: need x >= 16\n")
+
+
 def test_selberg_epsilon_z_over_prime_budget_exits_3(capsys, monkeypatch, no_sieve):
     # epsilon = 0.1 at x = 10^18 sets z = 372759372, past the prime budget
     def never(*args, **kwargs):
@@ -407,6 +418,28 @@ def test_sieve_cache_workflow(tmp_path, capsys):
     code, _, err = run_cli(capsys, "moments", "--x", "2000000", "--h", "5",
                            "--r-max", "1", "--cache", path)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--x", "5000", "--lambda", "1", "--r-max", "3"),
+    ("tail", "--x", "5000", "--h", "7.5", "--k-max", "4"),
+    ("hl", "--tuple", "0,2,6", "--x", "5000", "--sweep", "100:5000:700"),
+    ("selberg", "--tuple", "0,2", "--x", "5000", "--epsilon", "0.1"),
+], ids=["moments", "tail", "hl", "selberg"])
+def test_no_cache_streams_same_bytes(tmp_path, capsys, monkeypatch, argv):
+    # without --cache the passes stream off the sieve: no table is built, and the bytes are
+    # those of a run on a saved table
+    path = str(tmp_path / "t.pkt")
+    assert run_cli(capsys, "sieve-cache", "--limit", "6000", "--out", path)[0] == 0
+    cached = run_cli(capsys, *argv, "--cache", path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr("primetail.primes.sieve_range", never)
+    monkeypatch.setattr("primetail.cli.sieve_range", never)
+    assert cached[0] == 0
+    assert run_cli(capsys, *argv) == cached
 
 
 def test_pkt1_table_exits_2_naming_sieve_cache(tmp_path, capsys):
@@ -529,7 +562,7 @@ def test_memory_error_exits_3(capsys, monkeypatch, message):
     def out_of_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr("primetail.primes.sieve_range", out_of_memory)
+    monkeypatch.setattr("primetail.primes._segments", out_of_memory)
     code, out, err = run_cli(capsys, "moments", "--x", "100", "--h", "5", "--r-max", "1")
     assert code == 3
     assert out == ""

@@ -206,8 +206,8 @@ def test_tuple_pass_block_edges(chunk, monkeypatch):
     # is a prime power p^j with j >= 2, a survivor that is no hit
     monkeypatch.setattr(primes, "_CHUNK", chunk)
     table = sieve_range(0, 300)
-    walked, bools = [], table.bools
-    monkeypatch.setattr(table, "bools", lambda lo, hi: walked.append(lo) or bools(lo, hi))
+    walked, odd_flags = [], table._odd_flags
+    monkeypatch.setattr(table, "_odd_flags", lambda lo, hi: walked.append(lo) or odd_flags(lo, hi))
     lam = _lambda_dict(300)
     for offs in ((0, 1), (0, 2), (2, 3), (0, 2, 6)):
         xs = {e + s for e in range(chunk, 200, chunk) for s in (-1, 0, 1)}

@@ -19,6 +19,7 @@ from primetail import (
     window_counts,
 )
 from primetail.errors import CoverageError, ResourceError
+from primetail.primes import tuple_counts
 
 
 def _trial_is_prime(n):
@@ -365,6 +366,36 @@ def test_window_counts_memory_bounded_by_chunk(table_1e7, monkeypatch, chunk, bl
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("segment, chunk", [(32, 7), (32, 100), (1 << 12, 977)])
+def test_stream_matches_table(monkeypatch, segment, chunk):
+    # with no table both passes read their blocks off _segments. 32 odd flags span 64
+    # integers, so h = 200 and the offset 150 reach past a whole segment, and so does a
+    # block of 100; x falls on both sides of every block edge
+    t = sieve_range(0, 3 * 977 + 400)
+    monkeypatch.setattr(primes, "_SEGMENT", segment)
+    monkeypatch.setattr(primes, "_CHUNK", chunk)
+    xs = sorted({1} | {e + s for e in (chunk, 2 * chunk, 3 * chunk) for s in (-1, 0, 1)})
+    for h in (0.5, 1, 1.9, 2.7, 63.9, 200.0):
+        for x in xs:
+            assert window_counts(None, x, h) == window_counts(t, x, h), (h, x)
+    for offs in ((0,), (1,), (0, 1), (1, 2), (0, 2), (0, 2, 6), (0, 1, 3), (3, 5, 11), (0, 150)):
+        assert list(tuple_counts(None, offs, xs)) == list(tuple_counts(t, offs, xs)), offs
+
+
+def test_window_stream_memory_bounded_by_chunk():
+    # no table of x/16 bytes: the stream holds about a segment and a block at any x
+    window_counts(None, 1000, 18.4)  # warm up outside the measurement
+    peaks = []
+    for x in (4 * 10 ** 6, 16 * 10 ** 6, 64 * 10 ** 6):
+        tracemalloc.start()
+        try:
+            window_counts(None, x, 18.4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) < 1 << 20, peaks
 
 
 @pytest.mark.parametrize("chunk", [977, primes._CHUNK])

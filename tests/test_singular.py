@@ -545,6 +545,36 @@ def test_block_kernel_matches_euler_oracle(k, seed):
     assert 0 < n_adm < len(rows)
 
 
+def _first_covered_prime(row):
+    """The least prime p <= len(row) whose every residue class the row covers, or None."""
+    for p in range(2, len(row) + 1):
+        if all(p % d for d in range(2, p)) and len({t % p for t in row}) == p:
+            return p
+    return None
+
+
+def test_block_kernel_kills_rows_prime_by_prime():
+    # k = 8 rows killed at 2, 3, 5 and 7, mixed with admissible ones: each row's value,
+    # radius and limit are those of its own singular_series call, and the zeros are
+    # exactly the rows a residue-set count finds covering some p <= 8
+    rng = np.random.default_rng(8)
+    picked = {p: [] for p in (2, 3, 5, 7, None)}
+    for _ in range(20000):
+        if min(map(len, picked.values())) == 5:
+            break
+        step = int(rng.integers(1, 3))  # all even rows survive 2 and reach the larger primes
+        row = [0, *sorted((step * rng.choice(np.arange(1, 80), size=7, replace=False)).tolist())]
+        if len(picked[p := _first_covered_prime(row)]) < 5:
+            picked[p].append(row)
+    assert all(len(rows) == 5 for rows in picked.values())
+    block = [rows[i] for i in range(5) for rows in picked.values()]  # the kinds interleaved
+    values, radii, limits = singular_series_block(np.array(block))
+    for row, v, r, lim in zip(block, values.tolist(), radii.tolist(), limits.tolist()):
+        alone = singular_series(Tuple(tuple(row)))
+        assert (v, r, lim) == (alone.value, alone.error_radius, alone.prime_limit), row
+        assert (v == 0.0) == (_first_covered_prime(row) is not None), row
+
+
 def test_block_kernel_degenerate_shapes():
     got = singular_series_block(np.zeros((3, 1), np.int64))
     assert [a.tolist() for a in got] == [[1.0] * 3, [0.0] * 3, [2] * 3]
