@@ -18,7 +18,8 @@ from .averages import tkh_exact, tkh_monte_carlo
 from .errors import ResourceError
 from .hl import hl_sweep
 from .moments import _log_x, moment_report, tail_report
-from .primes import PrimalityTable, check_prime_budget, sieve_range, window_counts
+# sieve_range is never called here; tests patch this name to show that no command builds a table
+from .primes import PrimalityTable, check_prime_budget, save_sieve, sieve_range, window_counts  # noqa: F401
 from .selberg import _theorem_epsilon, gamma_cross_check, resolve_z, sieve_report
 from .singular import Tuple, jensen_split_bound, singular_series
 
@@ -169,10 +170,9 @@ def _cmd_selberg(args):
 def _cmd_sieve_cache(args):
     if args.limit < 2:
         raise ValueError("need --limit >= 2")
-    table = sieve_range(0, args.limit)
-    table.save(args.out)
+    found = save_sieve(0, args.limit, args.out)
     config = {"limit": args.limit, "out": args.out}
-    rec = {"limit": args.limit, "out": args.out, "primes": table.count()}
+    rec = {"limit": args.limit, "out": args.out, "primes": found}
     _emit(args, config, [rec])
     return 0
 

@@ -1,11 +1,13 @@
 """Segmented sieve, the bit-packed table that caches it, and counting passes.
 
 The table stores one bit per odd integer, 64 per little-endian word, so the
-range to 10^8 fits in ~6 MB and popcounts come straight off the words; its
+range to 10^8 fits in ~6 MB and popcounts come straight off the bytes; its
 readers add 2. Window counts and the one tuple pass (hits and Lambda sums)
 read the odd flags of one chunk of n at a time: unpacked from a table, or
 with no table sieved as the chunks advance, so memory is bounded by the
-chunk and segment sizes, not by x, and a table is only a saved sieve. Past
+chunk and segment sizes, not by x, and a table is only a saved sieve. Nor
+does a saved one cost its size: save_sieve writes the file a segment at a
+time, and a loaded table reads just the bytes each query covers. Past
 the flags, a chunk of window counts costs one pass over its primes per tail
 level G_k = #{n : c(n) >= k}: on the gap between consecutive primes
 q_i <= n < q_{i+1}, c(n) >= k exactly when n >= q_{i+k} - floor(h).
@@ -88,35 +90,48 @@ def _n_words(base, limit):
     return max((limit + 1) // 2 - base // 2 + 63, 0) // 64
 
 
+def _check_range(base, limit):
+    if base < 0 or limit < base:
+        raise ValueError(f"invalid range [{base}, {limit}]")
+
+
+def _write_header(f, base, limit):
+    """The file layout: magic "PKT2", base and limit as 8-byte LE, then the words."""
+    f.write(_MAGIC)
+    f.write(struct.pack("<QQ", base, limit))
+
+
 class PrimalityTable:
     """Primality of every integer in [base, limit].
 
     Bit j of word w flags the odd n = (base | 1) + 2 (64w + j), so bit n // 2 - base // 2
     flags an odd n; the bit of 1 and padding bits past limit are 0. Even n are not stored:
-    readers add 2. Words are little-endian uint64, on disk as in memory.
+    readers add 2. Words are little-endian uint64, on disk as in memory. A sieved table
+    holds its words; a loaded one (words None) holds only its path and reads the bytes each
+    query covers from the file, so the file must stay in place while the table is used.
     """
 
-    def __init__(self, base, limit, words):
-        if base < 0 or limit < base:
-            raise ValueError(f"invalid range [{base}, {limit}]")
+    def __init__(self, base, limit, words=None, path=None):
+        _check_range(base, limit)
         n_words = _n_words(base, limit)
-        if len(words) != n_words:
+        if words is not None and len(words) != n_words:
             raise ValueError(f"expected {n_words} words, got {len(words)}")
         self.base = base
         self.limit = limit
-        self.words = np.ascontiguousarray(words, dtype="<u8")
+        self.path = path
+        self.words = None if words is None else np.ascontiguousarray(words, dtype="<u8")
+        self._buf = np.empty(0, dtype=np.uint8)  # a loaded table's reads land here, reused
 
     # -- persistence ----------------------------------------------------
-    # file layout: magic "PKT2", base and limit as 8-byte LE, then words
 
     def save(self, path):
         with open(path, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<QQ", self.base, self.limit))
+            _write_header(f, self.base, self.limit)
             f.write(self.words.data)
 
     @classmethod
     def load(cls, path):
+        """Check the file's magic and size; its words stay on disk until a query reads them."""
         with open(path, "rb") as f:
             head = f.read(20)
             if head[:4] != _MAGIC:
@@ -127,8 +142,22 @@ class PrimalityTable:
                 want += 8 * _n_words(base, limit)
             if size != want:
                 raise ValueError(f"table file {path} is {size} bytes, expected {want}")
-            f.seek(20)
-            return cls(base, limit, np.fromfile(f, dtype="<u8"))
+        return cls(base, limit, path=path)
+
+    def _bytes(self, i0, i1):
+        """Bytes i0..i1-1 of the packed words as uint8, valid until the next read."""
+        if self.words is not None:
+            return self.words.view(np.uint8)[i0:i1]
+        if len(self._buf) < i1 - i0:
+            self._buf = np.empty(i1 - i0, dtype=np.uint8)
+        out = self._buf[: i1 - i0]
+        with open(self.path, "rb") as f:
+            f.seek(20 + i0)
+            got = f.readinto(out)
+        if got != len(out):
+            raise ValueError(f"table file {self.path} changed after it was loaded: "
+                             f"read {got} of {len(out)} bytes at offset {20 + i0}")
+        return out
 
     # -- queries ----------------------------------------------------------
 
@@ -139,7 +168,7 @@ class PrimalityTable:
     def _odd_flags(self, lo, hi):
         """Flags of the odd n in [lo, hi] as bools, flag i for (lo | 1) + 2i."""
         j0, j1 = lo // 2 - self.base // 2, (hi + 1) // 2 - self.base // 2
-        bits = np.unpackbits(self.words.view(np.uint8)[j0 >> 3 : ((j1 - 1) >> 3) + 1], bitorder="little")
+        bits = np.unpackbits(self._bytes(j0 >> 3, ((j1 - 1) >> 3) + 1), bitorder="little")
         return bits[j0 & 7 : (j0 & 7) + j1 - j0].view(np.bool_)
 
     def is_prime(self, n):
@@ -147,7 +176,7 @@ class PrimalityTable:
         if n % 2 == 0:
             return n == 2
         j = n // 2 - self.base // 2
-        return bool((int(self.words[j >> 6]) >> (j & 63)) & 1)
+        return bool((int(self._bytes(j >> 3, (j >> 3) + 1)[0]) >> (j & 7)) & 1)
 
     def bools(self, lo, hi):
         """Primality flags for lo..hi inclusive as a bool array."""
@@ -163,20 +192,23 @@ class PrimalityTable:
         return out
 
     def count(self, lo=None, hi=None):
-        """Number of primes in [lo, hi], popcounted off the packed words, plus 2."""
+        """Number of primes in [lo, hi], popcounted off the packed bytes a _CHUNK at a time, plus 2."""
         lo = self.base if lo is None else lo
         hi = self.limit if hi is None else hi
         if hi < lo:
             return 0
         self.require_cover(lo, hi)
-        two = int(lo <= 2 <= hi)
+        total = int(lo <= 2 <= hi)
         j0, j1 = lo // 2 - self.base // 2, (hi + 1) // 2 - self.base // 2
-        if j1 == j0:
-            return two
-        ws = self.words[j0 >> 6 : ((j1 - 1) >> 6) + 1]
-        below = int(ws[0]) & ((1 << (j0 & 63)) - 1)
-        above = int(ws[-1]) >> (((j1 - 1) & 63) + 1)
-        return two + int(np.bitwise_count(ws).sum()) - below.bit_count() - above.bit_count()
+        i0, i1, step = j0 >> 3, ((j1 - 1) >> 3) + 1, -(-_CHUNK // 16)  # the bytes of a chunk of n
+        for i in range(i0, i1, step):
+            got = self._bytes(i, min(i + step, i1))
+            if i == i0:  # the bits below j0
+                total -= (int(got[0]) & ((1 << (j0 & 7)) - 1)).bit_count()
+            if i + step >= i1:  # the bits from j1 on
+                total -= (int(got[-1]) >> (((j1 - 1) & 7) + 1)).bit_count()
+            total += int(np.bitwise_count(got).sum())
+        return total
 
     def primes(self, lo=None, hi=None):
         """All primes in [lo, hi] as an int64 array: 2, then the odd n's set bits."""
@@ -191,13 +223,32 @@ class PrimalityTable:
 
 def sieve_range(base, limit):
     """Sieve [base, limit] into a packed PrimalityTable, by primes_upto's segmented pass."""
-    if base < 0 or limit < base:
-        raise ValueError(f"invalid range [{base}, {limit}]")
+    _check_range(base, limit)
     words = np.zeros(_n_words(base, limit), dtype="<u8")
     for seg_lo, seg in _segments(base, limit):
         i = (seg_lo + 1 - (base | 1)) >> 4  # flag 0's byte: a segment holds whole bytes of flags
         words.view(np.uint8)[i : i + (len(seg) + 7) // 8] = np.packbits(seg, bitorder="little")
     return PrimalityTable(base, limit, words)
+
+
+def save_sieve(base, limit, path):
+    """Sieve [base, limit] straight into the file sieve_range(base, limit).save(path) writes.
+
+    Each segment is written as it is sieved, right after the one before, since a
+    segment holds whole bytes of flags; memory holds one segment whatever the
+    limit. Returns the number of primes in [base, limit], counted off the
+    written bytes, plus one for 2.
+    """
+    _check_range(base, limit)
+    found, size = int(base <= 2 <= limit), 0
+    with open(path, "wb") as f:
+        _write_header(f, base, limit)
+        for _, seg in _segments(base, limit):
+            packed = np.packbits(seg, bitorder="little")
+            found += int(np.bitwise_count(packed).sum())
+            size += f.write(packed.data)
+        f.write(bytes(8 * _n_words(base, limit) - size))
+    return found
 
 
 @dataclass(frozen=True)

@@ -470,6 +470,27 @@ def test_truncated_table_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("hl", "--tuple", "0,2", "--x", "5000"),
+    ("tail", "--x", "5000", "--h", "7.5", "--k-max", "4"),
+], ids=["hl", "tail"])
+def test_table_cut_after_load_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # the passes read the file a block at a time, so one cut short after load is refused there
+    path = tmp_path / "t.pkt"
+    assert run_cli(capsys, "sieve-cache", "--limit", "6000", "--out", str(path))[0] == 0
+    load = primetail.cli._load_table
+
+    def load_then_cut(args):
+        table = load(args)
+        path.write_bytes(path.read_bytes()[:100])
+        return table
+
+    monkeypatch.setattr("primetail.cli._load_table", load_then_cut)
+    code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"table file {path} changed after it was loaded" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("singular", "--tuple", "0,2", "--error", "nan"),
     ("singular", "--tuple", "0,2", "--error", "inf"),
     ("moments", "--x", "100", "--h", "nan", "--r-max", "1"),
