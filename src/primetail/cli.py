@@ -18,8 +18,7 @@ from .averages import tkh_exact, tkh_monte_carlo
 from .errors import ResourceError
 from .hl import hl_sweep
 from .moments import _log_x, moment_report, tail_report
-# sieve_range is never called here; tests patch this name to show that no command builds a table
-from .primes import PrimalityTable, check_prime_budget, save_sieve, sieve_range, window_counts  # noqa: F401
+from .primes import PrimalityTable, check_prime_budget, save_sieve, window_counts
 from .selberg import _theorem_epsilon, gamma_cross_check, resolve_z, sieve_report
 from .singular import Tuple, jensen_split_bound, singular_series
 

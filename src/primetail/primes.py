@@ -4,13 +4,17 @@ The table stores one bit per odd integer, 64 per little-endian word, so the
 range to 10^8 fits in ~6 MB and popcounts come straight off the bytes; its
 readers add 2. Window counts and the one tuple pass (hits and Lambda sums)
 read the odd flags of one chunk of n at a time: unpacked from a table, or
-with no table sieved as the chunks advance, so memory is bounded by the
-chunk and segment sizes, not by x, and a table is only a saved sieve. Nor
-does a saved one cost its size: save_sieve writes the file a segment at a
-time, and a loaded table reads just the bytes each query covers. Past
-the flags, a chunk of window counts costs one pass over its primes per tail
-level G_k = #{n : c(n) >= k}: on the gap between consecutive primes
-q_i <= n < q_{i+1}, c(n) >= k exactly when n >= q_{i+k} - floor(h).
+with no table sieved as the chunks advance, so the memory of each process
+is bounded by the chunk and segment sizes, not by x, and a table is only a
+saved sieve. Nor does a saved one cost its size: save_sieve writes the
+file a segment at a time, and a loaded table reads just the bytes each
+query covers. Past the flags, a chunk of window counts costs one pass over
+its primes per tail level G_k = #{n : c(n) >= k}: on the gap between
+consecutive primes q_i <= n < q_{i+1}, c(n) >= k exactly when
+n >= q_{i+k} - floor(h). The window pass splits its chunks into one span
+per usable CPU, counts each span in its own forked process (_on_cpus, the
+package's one fork) and sums the integer counts; the tuple pass keeps one
+process, since its Lambda sums are floats added left to right.
 Every list of small primes in the package (sieving primes, factoring, local
 factors, sieve weights) comes from primes_upto, which sieves afresh on each
 call. One segmented Eratosthenes pass over odd n, _segments, makes those
@@ -20,6 +24,9 @@ wheel), and the larger primes cross out the rest.
 """
 
 import math
+import os
+import pickle
+import signal
 import struct
 from dataclasses import dataclass
 
@@ -260,20 +267,20 @@ class WindowHistogram:
     counts: dict
 
 
-def _odd_blocks(table, x, lo_off, hi_off):
-    """Yield (a, b, flags) for each _CHUNK block [a, b] of n in [1, x].
+def _odd_blocks(table, x, lo_off, hi_off, first=1):
+    """Yield (a, b, flags) for each _CHUNK block [a, b] of n in [first, x].
 
     flags are the odd flags of [a + lo_off, b + hi_off], flag i for
     ((a + lo_off) | 1) + 2i, read only. A table's are unpacked from its words;
-    with no table, _segments sieves them as the blocks advance. The segments
-    a block reaches are kept until a later block starts past them, and only
-    a block that spans segments is copied, so memory holds about a segment
-    and a block whatever x is.
+    with no table, _segments sieves them from first + lo_off as the blocks
+    advance. The segments a block reaches are kept until a later block starts
+    past them, and only a block that spans segments is copied, so memory holds
+    about a segment and a block whatever x is.
     """
     if table is None:
-        segs = _segments(1 + lo_off, x + hi_off)
-        parts, start = [np.zeros(0, dtype=bool)], (1 + lo_off) | 1  # flags from start on, in order
-    for a in range(1, x + 1, _CHUNK):
+        segs = _segments(first + lo_off, x + hi_off)
+        parts, start = [np.zeros(0, dtype=bool)], (first + lo_off) | 1  # flags from start on, in order
+    for a in range(first, x + 1, _CHUNK):
         b = min(a + _CHUNK - 1, x)
         lo, hi = a + lo_off, b + hi_off
         if table is not None:
@@ -294,6 +301,65 @@ def _odd_blocks(table, x, lo_off, hi_off):
             yield a, b, np.concatenate([p[: max(size - o, 0)] for p, o in zip(parts, offs)])
 
 
+def _usable_cpus():
+    """The CPUs this process may run on; taskset narrows them."""
+    return len(os.sched_getaffinity(0))
+
+
+def _on_cpus(fn, items):
+    """[fn(item) for item in items]: items[0] in this process, each other item in a forked child.
+
+    The package's one fork. The fork start method lets the children run fn on this
+    process's module state as it stands, patches included; the passes start no thread.
+    A child pickles (ok, value or exception) into a pipe and leaves by os._exit, so it
+    never returns into the caller nor flushes this process's stdio buffers. A child's
+    exception is raised here, and every child is reaped before the call returns,
+    killed first if the call is unwinding. Callers give at most one item per usable CPU.
+    """
+    pids, reads = [], []
+    try:
+        for item in items[1:]:
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, item, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        results = [fn(items[0])]
+        for r in reads:
+            with open(r, "rb", closefd=False) as f:
+                ok, value = pickle.load(f)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:  # stop the children before they are reaped, then unwind
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _child(fn, item, w):
+    """In a forked child: pickle (ok, fn(item) or its exception) into the pipe end w, then exit."""
+    try:
+        try:
+            out = (True, fn(item))
+        except BaseException as e:  # not swallowed: the parent raises it
+            out = (False, e)
+        with open(w, "wb") as f:
+            pickle.dump(out, f)
+    finally:
+        os._exit(0)
+
+
 def window_counts(table, x, h):
     """Histogram of c(n) = #{primes in (n, n+h]} over n = 1..x.
 
@@ -306,6 +372,9 @@ def window_counts(table, x, h):
     (with S_0 = a) c(n) >= k exactly when n >= q_{i+k} - m, so
     G_k = sum_i max(0, min(E_i - S_i, E_i + m - q_{i+k})), and the levels
     nest, so the first empty one ends the block. N_c = G_c - G_{c+1}.
+    The blocks are split into one span of whole blocks per usable CPU, each
+    counted by its own process (_on_cpus); the counts are integers, so their
+    sum is the one-process histogram.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -314,15 +383,26 @@ def window_counts(table, x, h):
     if table is not None:
         table.require_cover(1, x + math.ceil(h))
     m = int(h)
+    blocks = -(-x // _CHUNK)
+    k = min(blocks, _usable_cpus())
+    cuts = [blocks * i // k * _CHUNK for i in range(k + 1)]  # span i: n in (cuts[i], cuts[i + 1]]
+    spans = [(lo + 1, min(hi, x)) for lo, hi in zip(cuts, cuts[1:])]
+    acc = sum(_on_cpus(lambda span: _span_counts(table, span, m), spans))
+    counts = {int(c): int(n) for c, n in enumerate(acc) if n}
+    return WindowHistogram(x, float(h), counts)
+
+
+def _span_counts(table, span, m):
+    """acc[c] = #{n in span : c(n) = c} for c <= m + 1, counted a block at a time."""
+    first, last = span
     acc = np.zeros(m + 2, dtype=np.int64)
-    for a, b, flags in _odd_blocks(table, x, 1, m):
+    for a, b, flags in _odd_blocks(table, last, 1, m, first):
         qs = np.flatnonzero(flags) * 2 + (((a + 1) | 1) - a)
         if a + 1 <= 2 <= b + m:
             qs = np.concatenate(([2 - a], qs))
         levels = _tail_levels(qs, b + 1 - a, m)
         acc[: len(levels) - 1] -= np.diff(levels)
-    counts = {int(c): int(n) for c, n in enumerate(acc) if n}
-    return WindowHistogram(x, float(h), counts)
+    return acc
 
 
 def _tail_levels(qs, size, m):

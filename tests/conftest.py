@@ -1,7 +1,20 @@
+import os
+
 import mpmath
 import pytest
 
 from primetail import primes, sieve_range
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail the test if it leaves a child process unreaped, running or exited."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"left a child process unreaped: waitpid gave {left}")
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,7 @@ def test_selberg_z_over_prime_budget_exits_3(capsys, monkeypatch, no_sieve, extr
     def never(*args, **kwargs):
         raise AssertionError("sieved")
 
-    monkeypatch.setattr("primetail.cli.sieve_range", never)
+    monkeypatch.setattr("primetail.primes.sieve_range", never)
     code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "1000", *extra)
     assert code == 3
     assert out == ""
@@ -437,7 +438,6 @@ def test_no_cache_streams_same_bytes(tmp_path, capsys, monkeypatch, argv):
         raise AssertionError("built a table")
 
     monkeypatch.setattr("primetail.primes.sieve_range", never)
-    monkeypatch.setattr("primetail.cli.sieve_range", never)
     assert cached[0] == 0
     assert run_cli(capsys, *argv) == cached
 
@@ -488,6 +488,30 @@ def test_table_cut_after_load_exits_2(tmp_path, capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv, "--cache", str(path))
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and f"table file {path} changed after it was loaded" in err
+
+
+def test_table_cut_in_a_later_span_exits_2(tmp_path, capsys, monkeypatch):
+    # two spans of 1000-n blocks: the first reads the odd flags of [2, 3007], file bytes
+    # 20..208, and the second those of [3002, 5007], which a cut at 270 bytes leaves short
+    monkeypatch.setattr("primetail.primes._CHUNK", 1000)
+    monkeypatch.setattr("primetail.primes._usable_cpus", lambda: 2)
+    path = tmp_path / "t.pkt"
+    assert run_cli(capsys, "sieve-cache", "--limit", "6000", "--out", str(path))[0] == 0
+    load = primetail.cli._load_table
+
+    def load_then_cut(args):
+        table = load(args)
+        path.write_bytes(path.read_bytes()[:270])
+        return table
+
+    monkeypatch.setattr("primetail.cli._load_table", load_then_cut)
+    code, out, err = run_cli(capsys, "tail", "--x", "5000", "--h", "7.5", "--k-max", "4",
+                             "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"table file {path} changed after it was loaded" in err
+    assert "at offset 207" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("argv", [
@@ -588,6 +612,33 @@ def test_memory_error_exits_3(capsys, monkeypatch, message):
     assert code == 3
     assert out == ""
     assert err == f"error: {message or 'out of memory'}\n"
+
+
+@pytest.mark.parametrize("span", ["later", "first"])
+def test_memory_error_in_one_span_exits_3(capsys, monkeypatch, span):
+    # five blocks over three processes. A later span fails in a child, which the parent
+    # raises. A first-span failure unwinds the parent, which kills the children rather
+    # than wait out their sleep. Either way no child is left unreaped
+    monkeypatch.setattr("primetail.primes._CHUNK", 1000)
+    monkeypatch.setattr("primetail.primes._usable_cpus", lambda: 3)
+    real = primetail.primes._segments
+
+    def fail_in_span(lo, hi):
+        # the first span streams from 1 + 1, the later ones from past it, primes_upto from 0
+        if lo and (lo == 2) == (span == "first"):
+            raise MemoryError("Unable to allocate 1 MiB for an array")
+        if lo > 2:  # a later span when the first one fails: it outlasts the run unless killed
+            time.sleep(20)
+        return real(lo, hi)
+
+    monkeypatch.setattr("primetail.primes._segments", fail_in_span)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "moments", "--x", "5000", "--h", "5", "--r-max", "1")
+    assert time.monotonic() - start < 10
+    assert (code, out) == (3, "")
+    assert err == "error: Unable to allocate 1 MiB for an array\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Sieve, window histogram, and tuple hit counting."""
 
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -464,6 +465,54 @@ def test_stream_matches_table(monkeypatch, segment, chunk):
             assert window_counts(None, x, h) == window_counts(t, x, h), (h, x)
     for offs in ((0,), (1,), (0, 1), (1, 2), (0, 2), (0, 2, 6), (0, 1, 3), (3, 5, 11), (0, 150)):
         assert list(tuple_counts(None, offs, xs)) == list(tuple_counts(t, offs, xs)), offs
+
+
+def _trial_window_counts(x, h):
+    """The window histogram from prefix sums of trial-division primality: c(n) = pi(n + m) - pi(n)."""
+    m = int(h)
+    pi = np.cumsum([0] + [_trial_is_prime(n) for n in range(1, x + m + 1)])
+    c, n = np.unique(pi[m + 1 : x + m + 1] - pi[1 : x + 1], return_counts=True)
+    return dict(zip(c.tolist(), n.tolist()))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count that window_counts splits its blocks over."""
+    return lambda k: monkeypatch.setattr(primes, "_usable_cpus", lambda: k)
+
+
+@pytest.mark.parametrize("source", ["stream", "sieved", "loaded0", "loaded1"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_window_counts_spans_match_trial_division(tmp_path, monkeypatch, cpus, k, source):
+    # 64-n blocks over 32-flag segments; x = 321 makes six blocks, so five CPUs get five
+    # spans, and x falls on both sides of the edges at 64 and 192
+    monkeypatch.setattr(primes, "_SEGMENT", 32)
+    monkeypatch.setattr(primes, "_CHUNK", 64)
+    cpus(k)
+    table = None
+    if source != "stream":
+        table = sieve_range(int(source == "loaded1"), 321 + 200)
+    if source.startswith("loaded"):
+        table.save(tmp_path / "t.pkt")
+        table = PrimalityTable.load(tmp_path / "t.pkt")
+    for h in (0.5, 1.9, 18.4, 200.0):
+        for x in (1, 63, 64, 65, 191, 192, 193, 321):
+            assert window_counts(table, x, h).counts == _trial_window_counts(x, h), (h, x)
+
+
+def test_window_counts_forks_only_past_one_block_and_one_cpu(monkeypatch, cpus):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(primes, "_CHUNK", 64)
+    cpus(4)
+    assert window_counts(None, 64, 18.4).counts == _trial_window_counts(64, 18.4)
+    cpus(1)
+    assert window_counts(None, 321, 18.4).counts == _trial_window_counts(321, 18.4)
+    cpus(2)
+    with pytest.raises(AssertionError, match="forked"):
+        window_counts(None, 65, 18.4)
 
 
 def test_window_stream_memory_bounded_by_chunk():
