@@ -122,6 +122,8 @@ def tkh_monte_carlo(k, h, samples, seed, workers=1):
         raise ValueError("need samples >= 100 for a stable stderr")
     if workers < 1:
         raise ValueError("need workers >= 1")
+    if seed < 0:
+        raise ValueError("need seed >= 0")
     vals = np.empty(samples)
     q, r = divmod(samples, workers)  # worker w fills q samples, one more while w < r
     for w in range(min(workers, samples)):  # a worker past samples would fill nothing

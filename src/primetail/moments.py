@@ -11,18 +11,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
 def stirling2(r, l):
     """Stirling number of the second kind S(r, l), exact."""
     if r < 0 or l < 0:
         raise ValueError("need r, l >= 0")
-    if l > r:
-        return 0
-    if r == 0:
-        return 1
-    if l == 0:
-        return 0
-    return l * stirling2(r - 1, l) + stirling2(r - 1, l - 1)
+    return _stirling_row(r)[l] if l <= r else 0
+
+
+@lru_cache(maxsize=None)
+def _stirling_row(r):
+    """(S(r, 0), ..., S(r, r)), built a row at a time by S(n + 1, l) = l S(n, l) + S(n, l - 1)."""
+    row = [1]
+    for n in range(r):
+        row = [0, *(l * row[l] + row[l - 1] for l in range(1, n + 1)), 1]
+    return tuple(row)
 
 
 def surjection_count(r, l):

@@ -1,14 +1,16 @@
 """Segmented sieve, the bit-packed table that caches it, and counting passes.
 
 The table stores one bit per odd integer, 64 per little-endian word, so the
-range to 10^8 fits in ~6 MB and popcounts come straight off the bytes; its
-readers add 2. Window counts and the one tuple pass (hits and Lambda sums)
-read the odd flags of one chunk of n at a time: unpacked from a table, or
-with no table sieved as the chunks advance, so the memory of each process
-is bounded by the chunk and segment sizes, not by x, and a table is only a
-saved sieve. Nor does a saved one cost its size: save_sieve writes the
-file a segment at a time, and a loaded table reads just the bytes each
-query covers. Past the flags, a chunk of window counts costs one pass over
+range to 10^8 fits in ~6 MB. One loop, _pack, packs the sieve's segments into
+those words, in memory for sieve_range and into the file for save_sieve; one
+reader, PrimalityTable._odd_flags, unpacks the odd flags of a range, and every
+query is read off it, adding 2. Window counts and the one tuple pass (hits and
+Lambda sums) read the odd flags of one chunk of n at a time: unpacked from a
+table, or with no table sieved as the chunks advance, so the memory of each
+process is bounded by the chunk and segment sizes, not by x, and a table is
+only a saved sieve. Nor does a saved one cost its size: save_sieve writes the
+file a segment at a time, and a loaded table reads just the bytes each query
+covers. Past the flags, a chunk of window counts costs one pass over
 its primes per tail level G_k = #{n : c(n) >= k}: on the gap between
 consecutive primes q_i <= n < q_{i+1}, c(n) >= k exactly when
 n >= q_{i+k} - floor(h). The window pass splits its chunks into one span
@@ -113,9 +115,10 @@ class PrimalityTable:
 
     Bit j of word w flags the odd n = (base | 1) + 2 (64w + j), so bit n // 2 - base // 2
     flags an odd n; the bit of 1 and padding bits past limit are 0. Even n are not stored:
-    readers add 2. Words are little-endian uint64, on disk as in memory. A sieved table
-    holds its words; a loaded one (words None) holds only its path and reads the bytes each
-    query covers from the file, so the file must stay in place while the table is used.
+    queries add 2. Words are little-endian uint64, on disk as in memory, and only
+    _odd_flags reads them, through _bytes. A sieved table holds its words; a loaded one
+    (words None) holds only its path and reads the bytes each query covers from the file,
+    so the file must stay in place while the table is used.
     """
 
     def __init__(self, base, limit, words=None, path=None):
@@ -180,42 +183,17 @@ class PrimalityTable:
 
     def is_prime(self, n):
         self.require_cover(n, n)
-        if n % 2 == 0:
-            return n == 2
-        j = n // 2 - self.base // 2
-        return bool((int(self._bytes(j >> 3, (j >> 3) + 1)[0]) >> (j & 7)) & 1)
-
-    def bools(self, lo, hi):
-        """Primality flags for lo..hi inclusive as a bool array."""
-        if hi < lo:
-            return np.zeros(0, dtype=bool)
-        self.require_cover(lo, hi)
-        k = 1 - lo % 2  # pair i holds the bytes of the odd n = lo - k + 2i and of n + 1
-        pairs = np.zeros((hi + 1) // 2 - (lo - 1) // 2, dtype="<u2")  # one per odd n in [lo - 1, hi]
-        pairs[k:] = self._odd_flags(lo, hi)
-        out = pairs.view(np.bool_)[k : k + hi - lo + 1]
-        if lo <= 2 <= hi:
-            out[2 - lo] = True
-        return out
+        return n == 2 if n % 2 == 0 else bool(self._odd_flags(n, n)[0])
 
     def count(self, lo=None, hi=None):
-        """Number of primes in [lo, hi], popcounted off the packed bytes a _CHUNK at a time, plus 2."""
+        """Number of primes in [lo, hi]: the odd flags counted a _CHUNK of n at a time, plus 2."""
         lo = self.base if lo is None else lo
         hi = self.limit if hi is None else hi
         if hi < lo:
             return 0
         self.require_cover(lo, hi)
-        total = int(lo <= 2 <= hi)
-        j0, j1 = lo // 2 - self.base // 2, (hi + 1) // 2 - self.base // 2
-        i0, i1, step = j0 >> 3, ((j1 - 1) >> 3) + 1, -(-_CHUNK // 16)  # the bytes of a chunk of n
-        for i in range(i0, i1, step):
-            got = self._bytes(i, min(i + step, i1))
-            if i == i0:  # the bits below j0
-                total -= (int(got[0]) & ((1 << (j0 & 7)) - 1)).bit_count()
-            if i + step >= i1:  # the bits from j1 on
-                total -= (int(got[-1]) >> (((j1 - 1) & 7) + 1)).bit_count()
-            total += int(np.bitwise_count(got).sum())
-        return total
+        pieces = (self._odd_flags(a, min(a + _CHUNK - 1, hi)) for a in range(lo, hi + 1, _CHUNK))
+        return int(lo <= 2 <= hi) + sum(int(np.count_nonzero(f)) for f in pieces)
 
     def primes(self, lo=None, hi=None):
         """All primes in [lo, hi] as an int64 array: 2, then the odd n's set bits."""
@@ -228,34 +206,48 @@ class PrimalityTable:
         return np.concatenate(([2], odd)) if lo <= 2 <= hi else odd
 
 
+def _pack(base, limit, write):
+    """Sieve [base, limit] into the table's words, handing each piece to write in order.
+
+    The pieces are each segment's flags packed into bytes, since a segment holds
+    whole bytes of flags, then the zero bytes that pad the last word. Returns the
+    number of primes in [base, limit], counted off the packed bytes, plus one for 2.
+    """
+    found, size = int(base <= 2 <= limit), 0
+    for _, seg in _segments(base, limit):
+        packed = np.packbits(seg, bitorder="little")
+        found += int(np.bitwise_count(packed).sum())
+        size += len(packed)
+        write(packed)
+    write(np.zeros(8 * _n_words(base, limit) - size, dtype=np.uint8))
+    return found
+
+
 def sieve_range(base, limit):
     """Sieve [base, limit] into a packed PrimalityTable, by primes_upto's segmented pass."""
     _check_range(base, limit)
-    words = np.zeros(_n_words(base, limit), dtype="<u8")
-    for seg_lo, seg in _segments(base, limit):
-        i = (seg_lo + 1 - (base | 1)) >> 4  # flag 0's byte: a segment holds whole bytes of flags
-        words.view(np.uint8)[i : i + (len(seg) + 7) // 8] = np.packbits(seg, bitorder="little")
+    words = np.empty(_n_words(base, limit), dtype="<u8")
+    out, end = words.view(np.uint8), 0
+
+    def fill(piece):
+        nonlocal end
+        out[end : end + len(piece)] = piece
+        end += len(piece)
+
+    _pack(base, limit, fill)
     return PrimalityTable(base, limit, words)
 
 
 def save_sieve(base, limit, path):
     """Sieve [base, limit] straight into the file sieve_range(base, limit).save(path) writes.
 
-    Each segment is written as it is sieved, right after the one before, since a
-    segment holds whole bytes of flags; memory holds one segment whatever the
-    limit. Returns the number of primes in [base, limit], counted off the
-    written bytes, plus one for 2.
+    Each segment is written as it is sieved, so memory holds one segment
+    whatever the limit. Returns the number of primes in [base, limit].
     """
     _check_range(base, limit)
-    found, size = int(base <= 2 <= limit), 0
     with open(path, "wb") as f:
         _write_header(f, base, limit)
-        for _, seg in _segments(base, limit):
-            packed = np.packbits(seg, bitorder="little")
-            found += int(np.bitwise_count(packed).sum())
-            size += f.write(packed.data)
-        f.write(bytes(8 * _n_words(base, limit) - size))
-    return found
+        return _pack(base, limit, f.write)
 
 
 @dataclass(frozen=True)
@@ -446,11 +438,10 @@ def _prime_powers(hi):
 
 def vonmangoldt(table, lo, hi):
     """Lambda(n) for n in [lo, hi]: log p at prime powers p^j, else 0."""
-    if lo < 0 or hi < lo:
-        raise ValueError(f"invalid range [{lo}, {hi}]")
+    _check_range(lo, hi)
     lam = np.zeros(hi - lo + 1)
-    at = np.flatnonzero(table.bools(lo, hi))
-    lam[at] = np.log((at + lo).astype(np.float64))
+    ps = table.primes(lo, hi)
+    lam[ps - lo] = np.log(ps.astype(np.float64))
     qs, logs = _prime_powers(hi)
     sel = qs >= lo
     lam[qs[sel] - lo] = logs[sel]
@@ -510,7 +501,7 @@ def count_tuple_hits(table, offsets, x):
     """#{1 <= n <= x : n + t is prime for every offset t}.
 
     Offsets may come in any order and with repeats; the count only depends on
-    the underlying set. Empty offsets count everything; None sieves a table.
+    the underlying set. Empty offsets count everything; with no table the pass streams off the sieve.
     """
     if x < 1:
         raise ValueError("x must be >= 1")

@@ -16,6 +16,7 @@ from primetail import (
     Tuple,
     allk_bound,
     averages,
+    jensen_split_bound,
     singular_series,
     tkh_exact,
     tkh_monte_carlo,
@@ -206,6 +207,15 @@ def test_mc_workers_past_samples():
     assert est.workers == 150
 
 
+def test_mc_refuses_negative_seed_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(averages, "_sample_values", no_draw)
+    with pytest.raises(ValueError, match="need seed >= 0"):
+        tkh_monte_carlo(3, 20, 100, seed=-1)
+
+
 def test_mc_k1_degenerate():
     est = tkh_monte_carlo(1, 50, 200, seed=3)
     assert (est.mean, est.stderr) == (1.0, 0.0)
@@ -265,6 +275,33 @@ def test_allk_bound_dominates_series():
     first, _ = allk_bound(3)
     for offs in ((0, 2, 6), (0, 4, 6), (0, 2, 12), (0, 6, 12)):
         assert singular_series(Tuple(offs), None).value <= first
+
+
+def test_bounds_dominate_every_admissible_row_below_30():
+    # every anchored row 0 < d_2 < ... < d_k < 30 for k = 2..6, 146,595 rows; admissibility
+    # is read off the residues here, apart from the series, and 620 rows have it
+    admissible = 0
+    for k in range(2, 7):
+        rows = np.array([(0, *c) for c in combinations(range(1, 30), k - 1)], dtype=np.int64)
+        vals, rads, _ = singular_series_block(rows)
+        ok = np.ones(len(rows), dtype=bool)
+        for p in (p for p in (2, 3, 5) if p <= k):  # no k offsets fill the p > k classes
+            ok &= ~np.all([(rows % p == c).any(axis=1) for c in range(p)], axis=0)
+        assert np.array_equal(vals > 0, ok), k
+        admissible += int(ok.sum())
+        tops = vals[ok] + rads[ok]
+        assert allk_bound(k)[0] >= tops.max(), k
+        for row, top in zip(rows[ok].tolist(), tops.tolist()):
+            assert jensen_split_bound(Tuple(tuple(row))) >= top, row
+    assert admissible == 620
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (3, 6), (4, 8), (5, 12), (6, 16), (7, 20), (8, 26)])
+def test_tkh_zero_below_minimal_admissible_diameter(k, d):
+    # d is the least diameter of an admissible k-tuple (OEIS A008407; Hensley and Richards,
+    # Acta Arith. 25 (1974)): no anchored row has d_k < d, and h = d + 1 weighs one by 1
+    assert tkh_exact(k, d).value == 0.0
+    assert tkh_exact(k, d + 1).value > 0
 
 
 def test_allk_bound_validation():

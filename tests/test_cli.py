@@ -56,6 +56,11 @@ def test_jensen_flag(capsys):
     assert rec["jensen_bound"] >= rec["value"]
 
 
+def test_tkh_negative_seed_exits_2_naming_it(capsys):
+    code, out, err = run_cli(capsys, "tkh", "--k", "3", "--h", "20", "--mode", "mc", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: need seed >= 0\n")
+
+
 def test_byte_identical_reruns(capsys):
     argv = ("tkh", "--k", "3", "--h", "200", "--mode", "mc",
             "--samples", "300", "--seed", "5", "--threads", "3")

@@ -1,12 +1,17 @@
 """Moments, Stirling predictions, Poisson tails, and the size bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primetail
 from primetail import (
     WindowHistogram,
     biggerk_bound,
@@ -52,6 +57,20 @@ def test_stirling_edges():
     assert stirling2(4, 2) == 7
     with pytest.raises(ValueError):
         stirling2(-1, 0)
+
+
+def test_stirling_deep_row_on_a_cold_cache():
+    # a fresh process has no rows cached: S(1500, 700) is built without recursing 1500 deep,
+    # and equals the explicit sum sum_j (-1)^j C(l, j) (l - j)^r / l!
+    r, l = 1500, 700
+    src = str(Path(primetail.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = f"from primetail import stirling2; print(hex(stirling2({r}, {l})))"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    total = sum((-1) ** j * math.comb(l, j) * (l - j) ** r for j in range(l + 1))
+    want, rem = divmod(total, math.factorial(l))
+    assert rem == 0 and int(out.stdout, 16) == want
 
 
 def test_surjection_count_vs_enumeration():

@@ -87,7 +87,8 @@ def test_pi_values(table_1e6):
 def test_against_reference_sieve(table_1e6):
     limit = 10 ** 5
     ref = _odd_wheel_sieve(limit)
-    got = table_1e6.bools(0, limit)
+    got = np.zeros(limit + 1, dtype=bool)
+    got[table_1e6.primes(0, limit)] = True
     assert np.array_equal(got, np.frombuffer(bytes(ref), dtype=np.uint8).astype(bool))
 
 
@@ -153,7 +154,8 @@ def test_sieve_range_odd_base_matches_base_zero(monkeypatch):
     limit = 3 * 10 ** 5 + 17
     ref = _odd_wheel_sieve(limit)
     for base in (1, 3, 77, 10 ** 5 + 1):
-        got = sieve_range(base, limit).bools(base, limit)
+        got = np.zeros(limit + 1 - base, dtype=bool)
+        got[sieve_range(base, limit).primes() - base] = True
         assert np.array_equal(got, np.frombuffer(bytes(ref[base:]), dtype=np.uint8).astype(bool)), base
 
 
@@ -245,8 +247,9 @@ def test_save_load_roundtrip(tmp_path):
     u = PrimalityTable.load(path)
     assert (u.base, u.limit) == (10, 5000)
     assert u.words is None  # a loaded table reads its words from the file
-    assert np.array_equal(u._bytes(0, t.words.nbytes).view("<u8"), t.words)
+    assert np.array_equal(u.primes(), t.primes())
     raw = path.read_bytes()
+    assert np.array_equal(np.frombuffer(raw[20:], dtype="<u8"), t.words)
     assert raw[:4] == b"PKT2"
     assert struct.unpack("<QQ", raw[4:20]) == (10, 5000)
     assert len(raw) == 20 + 8 * math.ceil(2495 / 64)  # the 2495 odd n in [11, 4999]
@@ -268,7 +271,7 @@ def test_load_memory_within_table_bytes(tmp_path, table_1e7):
         tracemalloc.stop()
     # load checks the header and the size; the 625 kB of words stay on disk
     assert peak < 1 << 14, peak
-    assert np.array_equal(u._bytes(0, table_1e7.words.nbytes).view("<u8"), table_1e7.words)
+    assert np.array_equal(u.primes(), table_1e7.primes())
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -281,8 +284,8 @@ def test_load_rejects_bad_magic(tmp_path):
 @pytest.mark.parametrize("chunk", [100, 977])
 @pytest.mark.parametrize("base", [0, 10, 11, 1000003])
 def test_loaded_table_reads_as_sieved(tmp_path, monkeypatch, base, chunk):
-    # blocks of 100 or 977 n end inside words and bytes, and so do count's chunks of 7 or 62
-    # bytes; the passes need a table from base <= 1, the tuple pass also one past base with
+    # blocks of 100 or 977 n, and count's pieces of as many n, end inside words and bytes;
+    # the passes need a table from base <= 1, the tuple pass also one past base with
     # offsets from base - 1 on
     monkeypatch.setattr(primes, "_CHUNK", chunk)
     t = sieve_range(base, base + 5000)
@@ -293,9 +296,9 @@ def test_loaded_table_reads_as_sieved(tmp_path, monkeypatch, base, chunk):
         for hi in edges:
             assert u.count(lo, hi) == t.count(lo, hi) == len(t.primes(lo, hi)), (lo, hi)
             assert np.array_equal(u.primes(lo, hi), t.primes(lo, hi)), (lo, hi)
-            assert np.array_equal(u.bools(lo, hi), t.bools(lo, hi)), (lo, hi)
     assert u.count() == t.count()
-    assert [u.is_prime(n) for n in range(base, base + 300)] == [t.is_prime(n) for n in range(base, base + 300)]
+    ns = [*range(base, base + 300), *edges]
+    assert [u.is_prime(n) for n in ns] == [t.is_prime(n) for n in ns] == [_miller_rabin(n) for n in ns]
     xs = [1, chunk - 1, chunk, chunk + 1, 3 * chunk, 4000]
     for offs in ((0, 2), (0, 2, 6), (1, 2), (0, 150)):
         offs = [base - 1 + o for o in offs] if base else offs
