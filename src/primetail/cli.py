@@ -14,13 +14,7 @@ import math
 import sys
 from dataclasses import fields
 
-from .averages import tkh_exact, tkh_monte_carlo
 from .errors import ResourceError
-from .hl import hl_sweep
-from .moments import _log_x, moment_report, tail_report
-from .primes import PrimalityTable, check_prime_budget, save_sieve, window_counts
-from .selberg import _theorem_epsilon, gamma_cross_check, resolve_z, sieve_report
-from .singular import Tuple, jensen_split_bound, singular_series
 
 
 def _jdump(obj):
@@ -70,10 +64,14 @@ def _row(rep, drop=()):
 
 def _load_table(args):
     """The --cache table, or None: each pass sieves the range it needs and checks a table's cover."""
+    from .primes import PrimalityTable
+
     return PrimalityTable.load(args.cache) if args.cache else None
 
 
 def _resolve_h(args):
+    from .moments import _log_x
+
     if (args.h is None) == (args.lam is None):
         raise ValueError("give exactly one of --h and --lambda")
     lx = _log_x(args.x)  # x below 2 is refused before the log or the sieve
@@ -84,9 +82,13 @@ def _resolve_h(args):
 
 
 # -- subcommands ---------------------------------------------------------
+# Each handler imports the modules it runs, so a job loads no other, and
+# building the parser loads none.
 
 
 def _cmd_singular(args):
+    from .singular import Tuple, jensen_split_bound, singular_series
+
     H = Tuple.parse(args.tuple)
     sv = singular_series(H, target_error=args.error)
     rec = {"tuple": str(H), "k": H.k, **_row(sv), "admissible": sv.value > 0}
@@ -98,6 +100,8 @@ def _cmd_singular(args):
 
 
 def _cmd_tkh(args):
+    from .averages import tkh_exact, tkh_monte_carlo
+
     k, h = args.k, args.h
     got = None
     if args.mode != "mc":
@@ -128,18 +132,25 @@ def _cmd_tkh(args):
 
 def _cmd_window(args):
     """moments or tail: one report per index first..last of the window histogram."""
+    from . import moments
+    from .primes import window_counts
+
     h = _resolve_h(args)
     first, last = args.first, getattr(args, args.last)
     if last < first:
         raise ValueError(f"need --{args.last.replace('_', '-')} >= {first}")
     hist = window_counts(_load_table(args), args.x, h)
     config = {"x": args.x, "h": h, args.last: last}
-    rows = [_row(args.report(hist, i)) for i in range(first, last + 1)]
+    report = getattr(moments, args.report)
+    rows = [_row(report(hist, i)) for i in range(first, last + 1)]
     _emit(args, config, rows)
     return 0
 
 
 def _cmd_hl(args):
+    from .hl import hl_sweep
+    from .singular import Tuple
+
     H = Tuple.parse(args.tuple)
     config = {"tuple": str(H), "x": args.x, "sweep": args.sweep}
     xs = [args.x]
@@ -153,6 +164,10 @@ def _cmd_hl(args):
 
 
 def _cmd_selberg(args):
+    from .primes import check_prime_budget
+    from .selberg import _theorem_epsilon, gamma_cross_check, resolve_z, sieve_report
+    from .singular import Tuple
+
     H = Tuple.parse(args.tuple)
     gamma_zs = [int(v) for v in args.gamma_table.split(",")] if args.gamma_table else []
     # a bad x, z or epsilon, or a z past the prime budget, fails before any gamma row is computed
@@ -167,6 +182,8 @@ def _cmd_selberg(args):
 
 
 def _cmd_sieve_cache(args):
+    from .primes import save_sieve
+
     if args.limit < 2:
         raise ValueError("need --limit >= 2")
     found = save_sieve(0, args.limit, args.out)
@@ -224,8 +241,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_tkh)
 
     for name, what, last, first, report in (
-        ("moments", "moments", "r_max", 1, moment_report),
-        ("tail", "tails", "k_max", 0, tail_report),
+        ("moments", "moments", "r_max", 1, "moment_report"),
+        ("tail", "tails", "k_max", 0, "tail_report"),
     ):
         p = sub.add_parser(name, parents=[common], help=f"window count {what} vs Poisson")
         p.add_argument("--x", type=int, required=True)

@@ -368,7 +368,7 @@ def test_selberg_bad_z_refused_before_gamma_rows(capsys, monkeypatch, no_sieve, 
     def never(*args, **kwargs):
         raise AssertionError("computed a gamma row")
 
-    monkeypatch.setattr("primetail.cli.gamma_cross_check", never)
+    monkeypatch.setattr("primetail.selberg.gamma_cross_check", never)
     code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "1000", *extra,
                              "--gamma-table", "10000000")
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -379,7 +379,7 @@ def test_selberg_small_x_refused_before_gamma_rows(capsys, monkeypatch, no_sieve
     def never(*args, **kwargs):
         raise AssertionError("computed a gamma row")
 
-    monkeypatch.setattr("primetail.cli.gamma_cross_check", never)
+    monkeypatch.setattr("primetail.selberg.gamma_cross_check", never)
     code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", "10", "--z", "10",
                              "--gamma-table", "10000000")
     assert (code, out, err) == (2, "", "error: need x >= 16\n")
@@ -390,7 +390,7 @@ def test_selberg_epsilon_z_over_prime_budget_exits_3(capsys, monkeypatch, no_sie
     def never(*args, **kwargs):
         raise AssertionError("computed a gamma row")
 
-    monkeypatch.setattr("primetail.cli.gamma_cross_check", never)
+    monkeypatch.setattr("primetail.selberg.gamma_cross_check", never)
     code, out, err = run_cli(capsys, "selberg", "--tuple", "0,2", "--x", str(10 ** 18),
                              "--epsilon", "0.1", "--gamma-table", "1000000")
     assert (code, out) == (3, "")
@@ -785,21 +785,44 @@ def test_cli_never_imports_scipy(argv, tmp_path):
     assert json.loads(lines_of(r.stdout)[-1]) == [0, []]
 
 
-def test_only_tail_loads_mpmath(tmp_path):
-    # one fresh interpreter runs every job but tail, then tail, whose Poisson tail does load
-    # mpmath: so the probe can see an import
-    others = [a for a in SUBCOMMAND_ARGVS if a[0] != "tail"] + [("singular", "--tuple", "0,2,6", "--jensen")]
-    tail = next(a for a in SUBCOMMAND_ARGVS if a[0] == "tail")
+def test_package_exports_resolve_to_their_modules():
+    # the 52 names the package exported when it imported every module up front, each now
+    # loaded on first access; a submodule resolves by its name
+    assert len(primetail.__all__) == len(set(primetail.__all__)) == 52
+    for name in primetail.__all__:
+        module = getattr(primetail, primetail._EXPORTS[name])
+        assert getattr(primetail, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        primetail.nope
+
+
+def test_jobs_load_only_what_they_run(tmp_path):
+    # one fresh interpreter per job, so no earlier import can hide one: the modules loaded by
+    # `import primetail.cli`, then by the job; allk_bound(3) then does load mpmath, so the
+    # probe is shown to see an import
     script = (
-        "import io, json, sys, contextlib\n"
+        "import contextlib, io, json, sys\n"
         "from primetail.cli import main\n"
+        "cold = sorted(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [main(list(a)) for a in {others!r}]\n"
-        "    before = 'mpmath' in sys.modules\n"
-        f"    codes.append(main({list(tail)!r}))\n"
-        "print(json.dumps([codes, before, 'mpmath' in sys.modules]))\n"
+        "    try:\n"
+        "        code = main(sys.argv[1:])\n"
+        "    except SystemExit as e:\n"
+        "        code = e.code\n"
+        "ran = sorted(sys.modules)\n"
+        "from primetail import allk_bound\n"
+        "allk_bound(3)\n"
+        "print(json.dumps([code, cold, ran, 'mpmath' in sys.modules]))\n"
     )
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                       env=_child_env(), cwd=tmp_path)
-    assert r.returncode == 0, r.stderr
-    assert json.loads(lines_of(r.stdout)[-1]) == [[0] * (len(others) + 1), False, True]
+    for argv in [("--help",), *SUBCOMMAND_ARGVS]:
+        r = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                           env=_child_env(), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        code, cold, ran, probe_saw = json.loads(lines_of(r.stdout)[-1])
+        assert code == 0 and probe_saw, argv
+        assert "numpy" not in cold, argv
+        assert "mpmath" not in ran and "numpy.ma" not in ran, argv
+        if argv[0] == "--help":
+            assert "numpy" not in ran
+        if argv[0] == "tkh":
+            assert "primetail.hl" not in ran and "primetail.selberg" not in ran, argv

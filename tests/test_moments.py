@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,50 @@ def test_poisson_tail_against_direct_sum():
             want = _mpmath_poisson_tail(lam, k)
             assert poisson_tail(float(lam), k) == pytest.approx(want, rel=1e-13, abs=0.0), (lam, k)
     assert poisson_tail(1.0, 10 ** 5) == 0.0
+
+
+def _mpmath_first_term_tail(lam, k):
+    """poisson_tail as it was when mpmath took its first term, at 30 digits.
+
+    The one change: float() of an mpf below the least normal float rounds
+    twice, to 53 bits and then to the subnormal's fewer, so there the sum is
+    rounded once from its 30 digits, as float() of a Decimal rounds it.
+    """
+    up = k > lam
+    j0 = k if up else k - 1
+    if j0 < 0 or j0 * math.log(lam) - lam - math.lgamma(j0 + 1) < -750:
+        return 0.0 if up else 1.0
+    terms, t, j = [1.0], 1.0, j0
+    while t >= 2.0 ** -60 and (up or j > 0):
+        if up:
+            j += 1
+            t *= lam / j
+        else:
+            t *= j / lam
+            j -= 1
+        terms.append(t)
+    with mpmath.workdps(30):
+        first = mpmath.exp(j0 * mpmath.log(lam) - lam - mpmath.loggamma(j0 + 1))
+        s = first * math.fsum(terms)
+        s = float(s) if s >= sys.float_info.min else float(mpmath.nstr(s, 30))
+    return s if up else 1.0 - s
+
+
+def test_poisson_tail_bit_identical_to_mpmath_first_term():
+    # the 40-digit decimal first term gives the float the 30-digit mpmath one gave, exactly:
+    # on a fixed grid, then on a seeded random one near the mean and across the far tail,
+    # where j0 >= 100 takes Stirling's series for log j0! and some sums are subnormal
+    cases = [(lam, k) for lam in (0.5, 1, 1.03706127, 2, 18.42, 100, 700) for k in range(61)]
+    rng = random.Random(20240611)
+    for _ in range(2000):
+        lam = math.exp(rng.uniform(-3, 7))
+        cases.append((lam, max(0, round(lam + rng.gauss(0, 4) * math.sqrt(lam + 1)))))
+        cases.append((lam, rng.randrange(1300)))
+    for lam, k in cases:
+        assert poisson_tail(lam, k) == _mpmath_first_term_tail(lam, k), (lam, k)
+    live = [(lam, k) for lam, k in cases if 0 < poisson_tail(lam, k) < 1]
+    assert sum((k if k > lam else k - 1) >= 100 for lam, k in live) > 500
+    assert any(poisson_tail(lam, k) < sys.float_info.min for lam, k in live)
 
 
 def test_corollary_bound_values():

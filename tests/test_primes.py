@@ -274,6 +274,40 @@ def test_load_memory_within_table_bytes(tmp_path, table_1e7):
     assert np.array_equal(u.primes(), table_1e7.primes())
 
 
+def test_loaded_table_saves_a_copy(tmp_path, monkeypatch, table_1e7):
+    # a loaded table writes the words it reads, a segment's bytes at a time: the copy is the
+    # file byte for byte, costs far less memory than its 625 kB of words, and saving onto its
+    # own file keeps it
+    p, q = tmp_path / "p.pkt", tmp_path / "q.pkt"
+    table_1e7.save(p)
+    u = PrimalityTable.load(p)
+    tracemalloc.start()
+    try:
+        u.save(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18, peak
+    assert q.read_bytes() == p.read_bytes()
+    u.save(p)
+    assert p.read_bytes() == q.read_bytes()
+    # 4-byte pieces end inside words
+    monkeypatch.setattr(primes, "_SEGMENT", 32)
+    small = sieve_range(10, 5000)
+    small.save(p)
+    PrimalityTable.load(p).save(q)
+    assert q.read_bytes() == p.read_bytes()
+
+
+def test_isin_sorted_matches_isin():
+    # the tuple pass's membership test against np.isin, the reference it stands in for
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 7, 300):
+        s = np.unique(rng.integers(0, 1000, n))
+        v = rng.integers(-5, 1005, (40, 3))
+        assert np.array_equal(primes._isin_sorted(v, s), np.isin(v, s))
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.pkt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
