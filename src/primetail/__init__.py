@@ -25,7 +25,7 @@ _EXPORTS = {
                      "omega_constants", "omega2_deviation", "resolve_z", "sieve_report",
                      "sieve_upper_bound", "theorem_bound"), "selberg"),
 }
-_SUBMODULES = ("errors", "primes", "singular", "averages", "moments", "hl", "selberg", "cli")
+_SUBMODULES = {*_EXPORTS.values(), "cli"}
 
 __all__ = list(_EXPORTS)
 __version__ = "0.1.0"

@@ -93,13 +93,15 @@ def poisson_tail(lam, k):
             t *= j / lam
             j -= 1
         terms.append(t)
-    with decimal.localcontext(prec=40):
-        lam_d = decimal.Decimal(lam)
-        first = (j0 * lam_d.ln() - lam_d - _log_factorial(j0)).exp()
+    with decimal.localcontext(_DECIMAL_40):
+        lam_d = decimal.Decimal(float(lam))
+        first = (int(j0) * lam_d.ln() - lam_d - _log_factorial(int(j0))).exp()
         s = float(first * decimal.Decimal(math.fsum(terms)))
     return s if up else 1.0 - s
 
 
+# poisson_tail's own context, so the caller's precision, rounding and traps do not reach the bits
+_DECIMAL_40 = decimal.Context(prec=40, rounding=decimal.ROUND_HALF_EVEN, traps=[decimal.InvalidOperation])
 # B_2m / (2m (2m - 1)) for m = 1..10: the coefficients of Stirling's series for log n!
 _STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360), (1, 156),
              (-3617, 122400), (43867, 244188), (-174611, 125400))

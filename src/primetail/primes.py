@@ -482,50 +482,41 @@ def tuple_counts(table, offsets, xs):
     if table is not None:
         table.require_cover(1 + offs[0], top + offs[-1])
     xs = np.asarray(xs, dtype=np.int64)
-    qs, logs = _prime_powers(top + offs[-1])
-    sums = (0, 0.0)  # hits and the Lambda sum over the n before the block
-    for a, b, flags in _odd_blocks(table, top, offs[0], offs[-1]):
-        rows, sums = _tuple_block(flags, a, b, offs, qs, logs, xs[(xs >= a) & (xs <= b)], sums)
-        del flags  # so the next block's flags are not read while this block's are held
-        yield from rows
-
-
-def _tuple_block(flags, a, b, offs, qs, logs, xs, sums):
-    """tuple_counts' rows for the xs in the block [a, b] of n, and its sums at b.
-
-    sums are those at a - 1. Every array of the block dies on return, so
-    none is held while the next block's flags are read.
-    """
     t = np.array(offs, dtype=np.int64)
-    lo, hi = a + offs[0], b + offs[-1]
-    n0 = (lo | 1) - offs[0]  # n0, n0 + 2, ... have every member odd, if the offsets share a parity
+    qs, logs = _prime_powers(top + offs[-1])
+    shifts = [(u - offs[0]) // 2 for u in offs[1:]]
     same = all(u % 2 == offs[0] % 2 for u in offs)
-    acc = flags[: max((b - n0) // 2 + 1, 0) if same else 0].copy()
-    for u in offs[1:]:
-        s = (u - offs[0]) // 2
-        acc &= flags[s : s + len(acc)]
-    i, j = np.searchsorted(qs, (lo, hi + 1))
-    bq, bl = qs[i:j], logs[i:j]  # the prime powers among the members
-    near = np.sort((np.append(bq, 2) if lo <= 2 <= hi else bq)[:, None] - t, axis=None)
-    keep = (near >= a) & (near <= b)  # the n with such a member, or with 2, each once
-    keep[1:] &= near[1:] != near[:-1]  # as np.unique would, but without numpy.ma
-    near = near[keep]
-    m = near[:, None] + t
-    nonzero, odd = _isin_sorted(m, bq) | (m == 2), (m & 1) == 1
-    nonzero[odd] |= flags[(m[odd] - (lo | 1)) >> 1]
-    at = np.sort(np.concatenate((n0 + 2 * np.flatnonzero(acc), near[nonzero.all(axis=1)])))
-    hit, prod = np.ones(len(at), dtype=bool), np.ones(len(at))
-    for u in offs:
-        m = at + u
-        power = _isin_sorted(m, bq)
-        lam = np.log(m)
-        lam[power] = bl[np.searchsorted(bq, m[power])]
-        hit &= ~power
-        prod *= lam
-    ends = np.searchsorted(at, xs, side="right")
-    hit_sums = np.cumsum(np.concatenate(([sums[0]], hit)))
-    lam_sums = np.cumsum(np.concatenate(([sums[1]], prod)))
-    return list(zip(hit_sums[ends].tolist(), lam_sums[ends].tolist())), (hit_sums[-1], lam_sums[-1])
+    hit_sums, lam_sums = np.zeros(1, dtype=np.int64), np.zeros(1)
+    for a, b, flags in _odd_blocks(table, top, offs[0], offs[-1]):
+        lo, hi = a + offs[0], b + offs[-1]
+        n0 = (lo | 1) - offs[0]  # n0, n0 + 2, ... have every member odd, if the offsets share a parity
+        acc = flags[: max((b - n0) // 2 + 1, 0) if same else 0].copy()
+        for s in shifts:
+            acc &= flags[s : s + len(acc)]
+        i, j = np.searchsorted(qs, (lo, hi + 1))
+        bq, bl = qs[i:j], logs[i:j]  # the prime powers among the members
+        near = np.sort((np.append(bq, 2) if lo <= 2 <= hi else bq)[:, None] - t, axis=None)
+        keep = (near >= a) & (near <= b)  # the n with such a member, or with 2, each once
+        keep[1:] &= near[1:] != near[:-1]  # as np.unique would, but without numpy.ma
+        near = near[keep]
+        m = near[:, None] + t
+        nonzero, odd = _isin_sorted(m, bq) | (m == 2), (m & 1) == 1
+        nonzero[odd] |= flags[(m[odd] - (lo | 1)) >> 1]
+        at = np.sort(np.concatenate((n0 + 2 * np.flatnonzero(acc), near[nonzero.all(axis=1)])))
+        hit, prod = np.ones(len(at), dtype=bool), np.ones(len(at))
+        for u in offs:
+            m = at + u
+            power = _isin_sorted(m, bq)
+            lam = np.log(m)
+            lam[power] = bl[np.searchsorted(bq, m[power])]
+            hit &= ~power
+            prod *= lam
+        ends = np.searchsorted(at, xs[(xs >= a) & (xs <= b)], side="right")
+        hit_sums = np.cumsum(np.concatenate((hit_sums[-1:], hit)))
+        lam_sums = np.cumsum(np.concatenate((lam_sums[-1:], prod)))
+        rows = zip(hit_sums[ends].tolist(), lam_sums[ends].tolist())
+        del flags, acc  # so the next block's flags are not read while these are held
+        yield from rows
 
 
 def count_tuple_hits(table, offsets, x):

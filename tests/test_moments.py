@@ -1,5 +1,6 @@
 """Moments, Stirling predictions, Poisson tails, and the size bounds."""
 
+import decimal
 import math
 import os
 import random
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +235,20 @@ def test_poisson_tail_bit_identical_to_mpmath_first_term():
     live = [(lam, k) for lam, k in cases if 0 < poisson_tail(lam, k) < 1]
     assert sum((k if k > lam else k - 1) >= 100 for lam, k in live) > 500
     assert any(poisson_tail(lam, k) < sys.float_info.min for lam, k in live)
+
+
+def test_poisson_tail_ignores_the_callers_decimal_context():
+    # the first term runs in a context of its own: the caller's precision, rounding and
+    # traps change no bit and raise nothing, and NumPy scalars go in as their values
+    cases = [(lam, k) for lam in (0.5, 1.03706127, 18.42, 700) for k in (0, 1, 5, 30, 900)]
+    want = [poisson_tail(lam, k) for lam, k in cases]
+    ctx = decimal.Context(prec=7, rounding=decimal.ROUND_FLOOR,
+                          traps=[decimal.Inexact, decimal.Rounded, decimal.Subnormal])
+    with decimal.localcontext(ctx):
+        assert [poisson_tail(lam, k) for lam, k in cases] == want
+    assert [poisson_tail(np.float64(lam), np.int64(k)) for lam, k in cases] == want
+    assert poisson_tail(np.float32(0.5), np.int32(3)) == poisson_tail(float(np.float32(0.5)), 3)
+    assert poisson_tail(np.int64(2), 5) == poisson_tail(2.0, 5)
 
 
 def test_corollary_bound_values():
