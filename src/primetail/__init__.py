@@ -10,20 +10,18 @@ import importlib
 _EXPORTS = {
     **dict.fromkeys(("CoverageError", "InadmissibleModulusError", "ResourceError"), "errors"),
     **dict.fromkeys(("PrimalityTable", "WindowHistogram", "count_tuple_hits", "sieve_range",
-                     "vonmangoldt", "window_counts"), "primes"),
+                     "window_counts"), "primes"),
     **dict.fromkeys(("SingularSeriesValue", "Tuple", "is_admissible", "jensen_split_bound",
-                     "local_factor", "residue_classes", "singular_series", "tail_log_bound"),
-                    "singular"),
+                     "singular_series", "tail_log_bound"), "singular"),
     **dict.fromkeys(("EstimateWithError", "ValueWithError", "allk_bound", "tkh_exact",
                      "tkh_monte_carlo", "tkh_pair_fast"), "averages"),
     **dict.fromkeys(("MomentReport", "TailReport", "biggerk_bound", "corollary_bound",
                      "empirical_moment", "exact_count", "moment_report", "poisson_pmf",
-                     "poisson_tail", "predicted_moment", "stirling2", "surjection_count",
-                     "tail_count", "tail_report"), "moments"),
+                     "poisson_tail", "predicted_moment", "stirling2", "tail_count",
+                     "tail_report"), "moments"),
     **dict.fromkeys(("HLReport", "hl_error", "hl_sweep", "li_k"), "hl"),
-    **dict.fromkeys(("SieveReport", "big_G", "big_W", "g_value", "gamma_cross_check",
-                     "omega_constants", "omega2_deviation", "resolve_z", "sieve_report",
-                     "sieve_upper_bound", "theorem_bound"), "selberg"),
+    **dict.fromkeys(("SieveReport", "big_G", "gamma_cross_check", "omega_constants",
+                     "resolve_z", "sieve_report", "theorem_bound"), "selberg"),
 }
 _SUBMODULES = {*_EXPORTS.values(), "cli"}
 

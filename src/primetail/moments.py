@@ -28,11 +28,6 @@ def _stirling_row(r):
     return tuple(row)
 
 
-def surjection_count(r, l):
-    """Number of surjections from an r-set onto an l-set: l! S(r, l)."""
-    return math.factorial(l) * stirling2(r, l)
-
-
 def empirical_moment(hist, r):
     """m_r = (1/x) sum_c N_c c^r, the integer sum taken exactly."""
     if r < 0:

@@ -442,18 +442,6 @@ def _prime_powers(hi):
     return np.array([q for q, _ in pairs], dtype=np.int64), np.array([lp for _, lp in pairs])
 
 
-def vonmangoldt(table, lo, hi):
-    """Lambda(n) for n in [lo, hi]: log p at prime powers p^j, else 0."""
-    _check_range(lo, hi)
-    lam = np.zeros(hi - lo + 1)
-    ps = table.primes(lo, hi)
-    lam[ps - lo] = np.log(ps.astype(np.float64))
-    qs, logs = _prime_powers(hi)
-    sel = qs >= lo
-    lam[qs[sel] - lo] = logs[sel]
-    return lam
-
-
 def _isin_sorted(v, s):
     """np.isin(v, s) for s ascending, by binary search.
 

@@ -57,20 +57,6 @@ def _weights(ps, nus):
     return nus / (ps - nus)
 
 
-def g_value(d, H):
-    """g(d) = nu(d) / (d prod_{p|d} (1 - nu(p)/p)) for squarefree d >= 1.
-
-    Multiplicative, so each prime contributes nu(p)/(p - nu(p)).
-    """
-    H = as_tuple(H)
-    fs = _prime_factors([d])[0]  # refuses d < 1
-    if math.prod(fs) != d:  # the distinct primes of d multiply to d iff d is squarefree
-        raise ValueError(f"{d} is not squarefree")
-    ps = np.array(fs, dtype=np.int64)
-    nus = _nu_rows(_anchored(H)[:, None], ps, axis=0)
-    return math.prod(_weights(ps, nus).tolist(), start=1.0)
-
-
 def _g_block(lo, hi, small):
     """g(d) for lo <= d < hi over the (p, g(p)) in small, 0.0 unless those p multiply to d.
 
@@ -111,7 +97,8 @@ def _raw_bound(x, z, G, W):
 
 
 def _W(ps, nus):
-    """W(z) from the nu table of the primes below z, left to right."""
+    """W(z) = prod_{p < z} (1 - nu(p)/p) from the nu table, left to right; exactly 0.0
+    when some nu(p) = p."""
     return math.prod(((ps - nus) / ps).tolist(), start=1.0)
 
 
@@ -128,19 +115,6 @@ def big_G(z, H):
     names the first.
     """
     return _G(z, *_nu_table(H, z))
-
-
-def big_W(z, H):
-    """W(z) = prod_{p < z} (1 - nu(p)/p), left to right; exactly 0.0 when some nu(p) = p."""
-    return _W(*_nu_table(H, z))
-
-
-def sieve_upper_bound(H, x, z):
-    """x/G(z) + z^2/W(z)^3, the raw sieve bound on hits up to x."""
-    if x < 1:
-        raise ValueError("need x >= 1")
-    nu = _nu_table(H, z)
-    return _raw_bound(x, z, _G(z, *nu), _W(*nu))
 
 
 def _theorem_epsilon(x, epsilon):
@@ -187,21 +161,6 @@ def omega_constants(H):
     k = H.k
     inner = math.log(3.0) + _log_abs_dh(H)
     return k + 1, k * math.log(inner)
-
-
-def omega2_deviation(H, w, z):
-    """sum_{w <= p < z} nu(p) log p / p minus its k log(z/w) main term.
-
-    Reported as a diagnostic; no constant is asserted.
-    """
-    if not 2 <= w < z:
-        raise ValueError("need 2 <= w < z")
-    H = as_tuple(H)
-    ps, nus = _nu_table(H, z)
-    sel = ps >= w
-    pf = ps[sel].astype(np.float64)
-    s = float(np.sum(nus[sel] * np.log(pf) / pf))
-    return s - H.k * math.log(z / w)
 
 
 def gamma_cross_check(H, z):

@@ -67,9 +67,6 @@ class Tuple:
     def __str__(self):
         return ",".join(str(t) for t in self.offsets)
 
-    def translate(self, c):
-        return Tuple(tuple(t + c for t in self.offsets))
-
     def pairwise_diffs(self):
         offs = self.offsets
         return [offs[j] - offs[i] for i in range(len(offs)) for j in range(i + 1, len(offs))]
@@ -123,11 +120,6 @@ def _prime_factors(ds):
     for i in np.flatnonzero(rest > 1).tolist():
         out[i].append(int(rest[i]))
     return out
-
-
-def _require_prime(p):
-    if p < 2 or _prime_factors([p])[0] != [p]:
-        raise ValueError(f"{p} is not prime")
 
 
 # -- generic tail per exponent k ---------------------------------------
@@ -224,23 +216,9 @@ def _kdata(k):
 # -- local factors -------------------------------------------------------
 
 
-def residue_classes(H, p):
-    """nu_H(p): number of distinct residues of the offsets modulo p."""
-    _require_prime(p)
-    return int(_nu_rows(_anchored(as_tuple(H)), p))
-
-
 def _local_factor(p, nu, k):
     """(p-nu) p^(k-1) / (p-1)^k, an integer ratio Python rounds correctly; 0.0 at nu = p."""
     return (p - nu) * p ** (k - 1) / (p - 1) ** k
-
-
-def local_factor(p, nu, k):
-    """(1 - nu/p) / (1 - 1/p)^k as the nearest float, exactly 0.0 when nu = p."""
-    _require_prime(p)
-    if not 1 <= nu <= min(k, p):
-        raise ValueError(f"need 1 <= nu <= min(k, p); got nu={nu}, p={p}, k={k}")
-    return _local_factor(p, nu, k)
 
 
 def tail_log_bound(k, P):

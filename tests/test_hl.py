@@ -1,4 +1,4 @@
-"""li_k quadrature, von Mangoldt arrays, and the prediction error reports."""
+"""li_k quadrature, the tuple pass's Lambda sums, and the prediction error reports."""
 
 import math
 import tracemalloc
@@ -15,7 +15,6 @@ from primetail import (
     li_k,
     sieve_range,
     singular_series,
-    vonmangoldt,
 )
 from primetail import primes
 from primetail.primes import _CHUNK, tuple_counts
@@ -97,20 +96,6 @@ def test_li_k_edges():
 def test_li_frozen_value():
     # offset logarithmic integral from 2
     assert li_k(10 ** 6, 1) == pytest.approx(78626.504, abs=0.01)
-
-
-def test_vonmangoldt_small(table_1e6):
-    expect = _lambda_dict(1100)
-    for lo, hi in ((1, 16), (1000, 1100)):
-        lam = vonmangoldt(table_1e6, lo, hi)
-        for n in range(lo, hi + 1):
-            assert lam[n - lo] == pytest.approx(expect.get(n, 0.0), rel=1e-14), n
-
-
-def test_vonmangoldt_psi_chebyshev(table_1e6):
-    psi = float(vonmangoldt(table_1e6, 1, 10 ** 4).sum())
-    direct = sum(_lambda_dict(10 ** 4).values())
-    assert psi == pytest.approx(direct, rel=1e-12)
 
 
 def test_hl_error_prime_counting(table_1e6):

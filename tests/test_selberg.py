@@ -9,15 +9,11 @@ import pytest
 from primetail import (
     Tuple,
     big_G,
-    big_W,
     count_tuple_hits,
-    g_value,
     gamma_cross_check,
-    omega2_deviation,
     omega_constants,
     resolve_z,
     sieve_report,
-    sieve_upper_bound,
     theorem_bound,
 )
 from primetail import primes, selberg
@@ -44,20 +40,9 @@ def _nu(H, p):
     return len({t % p for t in H.offsets})
 
 
-def test_g_value_examples():
-    assert g_value(1, TWIN) == 1.0
-    assert g_value(2, TWIN) == 1.0
-    assert g_value(3, TWIN) == 2.0
-    assert g_value(15, TWIN) == pytest.approx((2 / 1) * (2 / 3), rel=1e-15)
-
-
-def test_g_value_errors():
-    with pytest.raises(ValueError, match="squarefree"):
-        g_value(12, TWIN)
-    with pytest.raises(ValueError):
-        g_value(0, TWIN)
-    with pytest.raises(InadmissibleModulusError):
-        g_value(3, Tuple.parse("0,1,2"))
+def _big_W(z, H):
+    """W(z) as sieve_report computes it, from the nu table of the primes below z."""
+    return selberg._W(*selberg._nu_table(H, z))
 
 
 def test_big_G_small_values():
@@ -118,28 +103,24 @@ def test_big_G_monotone_in_z():
 
 
 def test_big_G_refuses_covered_primes():
-    # nu(2) = 2 and nu(3) = 3: the first such prime is named, in g_value's words
+    # nu(2) = 2 and nu(3) = 3: the first such prime is named
     H = Tuple.parse("0,1,2")
     for z in (3, 10):
-        with pytest.raises(InadmissibleModulusError, match=r"^nu\(2\) = 2: ") as ei:
+        with pytest.raises(InadmissibleModulusError) as ei:
             big_G(z, H)
-        with pytest.raises(InadmissibleModulusError) as gi:
-            g_value(2, H)
-        assert str(ei.value) == str(gi.value)
-    with pytest.raises(InadmissibleModulusError, match=r"^nu\(3\) = 3: ") as ei:
+        assert str(ei.value) == "nu(2) = 2: the tuple covers every residue class mod 2"
+    with pytest.raises(InadmissibleModulusError) as ei:
         big_G(10, Tuple.parse("0,2,4"))
-    with pytest.raises(InadmissibleModulusError) as gi:
-        g_value(15, Tuple.parse("0,2,4"))
-    assert str(ei.value) == str(gi.value)
+    assert str(ei.value) == "nu(3) = 3: the tuple covers every residue class mod 3"
     assert big_G(3, Tuple.parse("0,2,4")) == 2.0  # d = 1, 2 with nu(2) = 1
 
 
 def test_big_W_values():
-    assert big_W(3, TWIN) == 0.5
-    assert big_W(5, TWIN) == pytest.approx(1 / 6, rel=1e-15)
-    assert big_W(5, Tuple.parse("0,2,4")) == 0.0
+    assert _big_W(3, TWIN) == 0.5
+    assert _big_W(5, TWIN) == pytest.approx(1 / 6, rel=1e-15)
+    assert _big_W(5, Tuple.parse("0,2,4")) == 0.0
     with pytest.raises(ValueError):
-        big_W(1, TWIN)
+        _big_W(1, TWIN)
 
 
 def test_big_W_equals_left_to_right_loop():
@@ -148,8 +129,8 @@ def test_big_W_equals_left_to_right_loop():
         loop = 1.0
         for p in primes_upto(z - 1).tolist():
             loop *= (p - _nu(H, p)) / p
-        assert big_W(z, H) == loop, (offs, z)
-    assert big_W(10 ** 6, Tuple.parse("0,2,6")) == 0.0001918243800530447
+        assert _big_W(z, H) == loop, (offs, z)
+    assert _big_W(10 ** 6, Tuple.parse("0,2,6")) == 0.0001918243800530447
 
 
 def test_nu_table_counts_residues_at_every_prime():
@@ -175,9 +156,8 @@ def test_nu_table_memory_sliced():
 
 def test_prime_budget_refused_before_sieving(no_sieve):
     z = primes._PRIME_BUDGET + 2
-    for fn in (big_G, big_W):
-        with pytest.raises(ResourceError, match="budget"):
-            fn(z, TWIN)
+    with pytest.raises(ResourceError, match="budget"):
+        big_G(z, TWIN)
     with pytest.raises(ResourceError, match="budget"):
         gamma_cross_check(TWIN, z)
 
@@ -185,8 +165,7 @@ def test_prime_budget_refused_before_sieving(no_sieve):
 def test_huge_span_refused_before_sieving(no_sieve):
     # the difference 2 (10^8 + 7)^2 needs primes up to 1.4 * 10^8 to factor
     H = Tuple((0, 2 * (10 ** 8 + 7) ** 2))
-    for call in (big_G, big_W, lambda z, H: gamma_cross_check(H, z),
-                 lambda z, H: omega2_deviation(H, 2, z)):
+    for call in (big_G, lambda z, H: gamma_cross_check(H, z)):
         with pytest.raises(ResourceError, match="prime budget"):
             call(100, H)
 
@@ -197,7 +176,7 @@ def test_one_nu_table_per_z(monkeypatch):
     monkeypatch.setattr(selberg, "_nu_table", lambda H, z: calls.append(z) or nu_table(H, z))
     rep = sieve_report(TWIN, 10 ** 4, z=100)
     assert calls == [100]
-    assert (rep.G_z, rep.W_z) == (big_G(100, TWIN), big_W(100, TWIN))
+    assert (rep.G_z, rep.W_z) == (big_G(100, TWIN), _big_W(100, TWIN))
     calls.clear()
     gamma_cross_check(TWIN, 1000)
     assert calls == [1000]
@@ -206,7 +185,7 @@ def test_one_nu_table_per_z(monkeypatch):
 def test_big_W_reciprocal_consistency():
     H = Tuple.parse("0,2,6")
     z = 10 ** 4
-    W = big_W(z, H)
+    W = _big_W(z, H)
     recip = 1.0
     n = 0
     for p in primes_upto(z - 1).tolist():
@@ -215,33 +194,25 @@ def test_big_W_reciprocal_consistency():
     assert abs(W * recip - 1.0) <= 4 * n * 2.0 ** -52
 
 
-def test_sieve_upper_bound_composes():
-    got = sieve_upper_bound(TWIN, 10 ** 6, 10)
-    assert got == 10 ** 6 / big_G(10, TWIN) + 100 / big_W(10, TWIN) ** 3
-    assert got == pytest.approx(10 ** 6 / (106 / 15) + 100 * 14 ** 3, rel=1e-12)
+def test_sieve_upper_bound_composes(table_1e6):
+    rep = sieve_report(TWIN, 10 ** 6, z=10, table=table_1e6)
+    assert rep.raw_bound == 10 ** 6 / rep.G_z + 100 / rep.W_z ** 3
+    assert rep.raw_bound == pytest.approx(10 ** 6 / (106 / 15) + 100 * 14 ** 3, rel=1e-12)
 
 
 def test_raw_bound_is_inf_once_W_cubed_underflows(table_1e6):
     # W(10^5) = 2.1e-125 for these 200 offsets, so W^3 is 0.0 in floats
     H = Tuple(tuple(p for p in primes_upto(3000).tolist() if p > 200)[:200])
-    assert 0.0 < big_W(10 ** 5, H) < 1e-120
-    assert sieve_upper_bound(H, 10 ** 4, 10 ** 5) == math.inf
+    assert 0.0 < _big_W(10 ** 5, H) < 1e-120
     assert sieve_report(H, 10 ** 4, z=10 ** 5, table=table_1e6).raw_bound == math.inf
-
-
-def test_sieve_upper_bound_inadmissible():
-    with pytest.raises(InadmissibleModulusError):
-        sieve_upper_bound(Tuple.parse("0,2,4"), 10 ** 6, 10)
 
 
 def test_sieve_bound_dominates_actual(table_1e6):
     # hits beyond z are sieved out by every p < z, so actual <= bound + z
     for offs, x in (((0,), 10 ** 4), ((0, 2), 10 ** 5), ((0, 2, 6), 10 ** 6)):
         H = Tuple(offs)
-        z = round(x ** (1 / 2.2))
-        bound = sieve_upper_bound(H, x, z)
-        actual = count_tuple_hits(table_1e6, H, x)
-        assert actual <= bound + z, (offs, x)
+        rep = sieve_report(H, x, z=round(x ** (1 / 2.2)), table=table_1e6)
+        assert rep.actual <= rep.raw_bound + rep.z, (offs, x)
 
 
 def test_theorem_bound_twin(table_1e6):
@@ -303,17 +274,6 @@ def test_omega_constants_past_float_range_match_mpmath():
         dh = mpmath.fprod(H.pairwise_diffs())
         want = float(H.k * mpmath.log(mpmath.log(3 * dh)))
     assert omega_constants(H) == (41, pytest.approx(want, rel=1e-12))
-
-
-def test_omega2_deviation_direct():
-    H = Tuple.parse("0,2,6")
-    w, z = 10, 500
-    direct = sum(
-        _nu(H, int(p)) * math.log(p) / p for p in primes_upto(z - 1) if p >= w
-    ) - 3 * math.log(z / w)
-    assert omega2_deviation(H, w, z) == pytest.approx(direct, rel=1e-12)
-    with pytest.raises(ValueError):
-        omega2_deviation(H, 500, 10)
 
 
 def test_gamma_cross_check_drifts_toward_one():
@@ -380,7 +340,7 @@ def test_sieve_report_composition(table_1e6):
     rep = sieve_report(TWIN, 10 ** 5, epsilon=0.1, table=table_1e6)
     assert rep.z == round((10 ** 5) ** (1 / 2.1))
     assert rep.G_z == big_G(rep.z, TWIN)
-    assert rep.W_z == big_W(rep.z, TWIN)
+    assert rep.W_z == _big_W(rep.z, TWIN)
     assert rep.actual == count_tuple_hits(table_1e6, TWIN, 10 ** 5)
     assert rep.theorem_bound == theorem_bound(TWIN, 10 ** 5, 0.1)
     assert rep.ratio_actual_over_bound == rep.actual / rep.theorem_bound

@@ -21,15 +21,13 @@ from primetail import (
     Tuple,
     is_admissible,
     jensen_split_bound,
-    local_factor,
-    residue_classes,
     singular_series,
     tail_log_bound,
 )
 from primetail import singular
 from primetail.errors import ResourceError
 from primetail.primes import primes_upto
-from primetail.singular import _prime_factors, singular_series_block
+from primetail.singular import _anchored, _local_factor, _nu_rows, _prime_factors, singular_series_block
 
 TWIN_CONSTANT = 1.320323631693739  # doubled product of 1 - 1/(p-1)^2 over odd p
 TRIPLE_026 = 2.858248595490  # direct product to 1e8, radius 7e-9
@@ -83,10 +81,6 @@ def test_parse_roundtrip(offs):
     H = Tuple.parse(",".join(str(t) for t in offs))
     assert H.offsets == tuple(sorted(offs))
     assert H.k == len(offs)
-
-
-def test_translate():
-    assert Tuple.parse("0,2").translate(5).offsets == (5, 7)
 
 
 # -- factoring ----------------------------------------------------------
@@ -150,29 +144,16 @@ def test_prime_factors_past_budget_sieves_nothing(no_sieve):
 
 
 def test_residue_classes():
-    assert residue_classes(Tuple.parse("0,2,6"), 5) == 3
-    assert residue_classes(Tuple.parse("0,2"), 2) == 1
-    assert residue_classes(Tuple.parse("0,2,6"), 3) == 2
-    with pytest.raises(ValueError, match="not prime"):
-        residue_classes(Tuple.parse("0,2"), 4)
+    assert _nu_rows(_anchored(Tuple.parse("0,2,6")), 5) == 3
+    assert _nu_rows(_anchored(Tuple.parse("0,2")), 2) == 1
+    assert _nu_rows(_anchored(Tuple.parse("0,2,6")), 3) == 2
 
 
 def test_local_factor_values():
-    assert local_factor(3, 1, 1) == 1.0
-    assert local_factor(3, 2, 2) == 0.75
-    assert local_factor(2, 2, 5) == 0.0
-    assert local_factor(5, 2, 3) == 1.171875
-
-
-def test_local_factor_validation():
-    with pytest.raises(ValueError):
-        local_factor(3, 0, 2)
-    with pytest.raises(ValueError):
-        local_factor(3, 3, 2)  # nu > k
-    with pytest.raises(ValueError):
-        local_factor(3, 4, 5)  # nu > p
-    with pytest.raises(ValueError):
-        local_factor(6, 1, 2)  # composite p
+    assert _local_factor(3, 1, 1) == 1.0
+    assert _local_factor(3, 2, 2) == 0.75
+    assert _local_factor(2, 2, 5) == 0.0
+    assert _local_factor(5, 2, 3) == 1.171875
 
 
 def test_local_factor_one_ulp_identity():
@@ -183,7 +164,7 @@ def test_local_factor_one_ulp_identity():
         p = ps[int(rng.integers(len(ps)))]
         k = int(rng.integers(1, 13))
         nu = int(rng.integers(1, min(k, p) + 1))
-        got = local_factor(p, nu, k)
+        got = _local_factor(p, nu, k)
         exact = Fraction((p - nu) * p ** (k - 1), (p - 1) ** k)
         assert abs(got - float(exact)) <= math.ulp(max(got, 1.0))
 
@@ -222,7 +203,7 @@ def test_tail_log_bound_dominates_true_tail():
 @given(st.sets(st.integers(0, 400), min_size=1, max_size=12), st.sampled_from((2, 3, 5, 7, 11, 13, 101)))
 def test_residue_classes_and_admissibility_match_sets(offs, p):
     H = Tuple(tuple(sorted(offs)))
-    assert residue_classes(H, p) == len({t % p for t in offs})
+    assert _nu_rows(_anchored(H), p) == len({t % p for t in offs})
     small = [q for q in _ORACLE_PRIMES if q <= H.k]
     assert is_admissible(H) == all(len({t % q for t in offs}) < q for q in small)
 
@@ -350,7 +331,7 @@ def test_translation_invariance_bit_exact():
         offs = tuple(sorted(rng.choice(5000, size=k, replace=False).tolist()))
         c = int(rng.integers(0, 10 ** 6))
         a = singular_series(Tuple(offs), None)
-        b = singular_series(Tuple(offs).translate(c), None)
+        b = singular_series(Tuple(tuple(t + c for t in offs)), None)
         assert (a.value, a.error_radius, a.prime_limit) == (b.value, b.error_radius, b.prime_limit)
 
 
