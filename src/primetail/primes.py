@@ -1,19 +1,17 @@
 """Segmented sieve, the bit-packed table that caches it, and counting passes.
 
 The table stores one bit per odd integer, 64 per little-endian word, so the
-range to 10^8 fits in ~6 MB. One loop, _pack, packs the sieve's segments into
-those words, in memory for sieve_range and into the file for save_sieve; one
-reader, PrimalityTable._odd_flags, unpacks the odd flags of a range, and every
-query is read off it, adding 2. Window counts and the one tuple pass (hits and
-Lambda sums) read the odd flags of one chunk of n at a time: unpacked from a
-table, or with no table sieved as the chunks advance, so the memory of each
-process is bounded by the chunk and segment sizes, not by x, and a table is
-only a saved sieve. Nor does a saved one cost its size: save_sieve writes the
-file a segment at a time, and a loaded table reads just the bytes each query
-covers. Past the flags, a chunk of window counts costs one pass over
-its primes per tail level G_k = #{n : c(n) >= k}: on the gap between
-consecutive primes q_i <= n < q_{i+1}, c(n) >= k exactly when
-n >= q_{i+k} - floor(h). The window pass splits its chunks into one span
+range to 10^8 fits in ~6 MB, and a table is its file. One writer, save_sieve,
+packs the sieve's segments into the file a segment at a time; one reader,
+PrimalityTable._odd_flags, unpacks the odd flags of a range from the bytes it
+covers, and every query is read off it, adding 2. Window counts and the one
+tuple pass (hits and Lambda sums) read the odd flags of one chunk of n at a
+time: unpacked from a table, or with no table sieved as the chunks advance,
+so the memory of each process is bounded by the chunk and segment sizes, not
+by x, and a table is only a saved sieve. Past the flags, a chunk of window
+counts costs one pass over its primes per tail level G_k = #{n : c(n) >= k}:
+on the gap between consecutive primes q_i <= n < q_{i+1}, c(n) >= k exactly
+when n >= q_{i+k} - floor(h). The window pass splits its chunks into one span
 per usable CPU, counts each span in its own forked process (_on_cpus, the
 package's one fork) and sums the integer counts; the tuple pass keeps one
 process, since its Lambda sums are floats added left to right.
@@ -25,11 +23,15 @@ from a copy of the odd flags presieved by 3, 5, 7, 11 and 13 (Pritchard's
 wheel), and the larger primes cross out the rest.
 """
 
+import contextlib
 import math
 import os
 import pickle
+import shutil
 import signal
 import struct
+import tempfile
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,50 +106,33 @@ def _check_range(base, limit):
         raise ValueError(f"invalid range [{base}, {limit}]")
 
 
-def _write_header(f, base, limit):
-    """The file layout: magic "PKT2", base and limit as 8-byte LE, then the words."""
-    f.write(_MAGIC)
-    f.write(struct.pack("<QQ", base, limit))
-
-
 class PrimalityTable:
-    """Primality of every integer in [base, limit].
+    """Primality of every integer in [base, limit], read from the file save_sieve writes.
 
-    Bit j of word w flags the odd n = (base | 1) + 2 (64w + j), so bit n // 2 - base // 2
-    flags an odd n; the bit of 1 and padding bits past limit are 0. Even n are not stored:
-    queries add 2. Words are little-endian uint64, on disk as in memory, and only
-    _odd_flags reads them, through _bytes. A sieved table holds its words; a loaded one
-    (words None) holds only its path and reads the bytes each query covers from the file,
-    so the file must stay in place while the table is used.
+    The file holds the magic "PKT2", base and limit as 8-byte LE, then the words: bit j
+    of word w flags the odd n = (base | 1) + 2 (64w + j), so bit n // 2 - base // 2 flags
+    an odd n; the bit of 1 and padding bits past limit are 0. Even n are not stored:
+    queries add 2. Words are little-endian uint64. Only load makes a table, and only
+    _odd_flags reads its words, through _bytes, which reads the bytes each query covers
+    from the file, so the file must stay in place while the table is used.
     """
 
-    def __init__(self, base, limit, words=None, path=None):
-        _check_range(base, limit)
-        n_words = _n_words(base, limit)
-        if words is not None and len(words) != n_words:
-            raise ValueError(f"expected {n_words} words, got {len(words)}")
+    def __init__(self, base, limit, path):
         self.base = base
         self.limit = limit
         self.path = path
-        self.words = None if words is None else np.ascontiguousarray(words, dtype="<u8")
-        self._buf = np.empty(0, dtype=np.uint8)  # a loaded table's reads land here, reused
+        self._buf = np.empty(0, dtype=np.uint8)  # each read lands here, reused
 
     # -- persistence ----------------------------------------------------
 
     def save(self, path):
-        """Write the file load reads back: the header, then the words through _bytes as many
-        bytes at a time as a sieve segment packs into, so a loaded table is copied in that much memory."""
-        if self.words is None and os.path.exists(path) and os.path.samefile(path, self.path):
-            return  # a loaded table's own file already holds it
-        size, step = 8 * _n_words(self.base, self.limit), _SEGMENT // 8
-        with open(path, "wb") as f:
-            _write_header(f, self.base, self.limit)
-            for i in range(0, size, step):
-                f.write(self._bytes(i, min(i + step, size)))
+        """Copy the table's file to path, in constant memory; saving onto that file keeps it."""
+        with contextlib.suppress(shutil.SameFileError):
+            shutil.copyfile(self.path, path)
 
     @classmethod
     def load(cls, path):
-        """Check the file's magic and size; its words stay on disk until a query reads them."""
+        """Check the file's magic, range and size; its words stay on disk until a query reads them."""
         with open(path, "rb") as f:
             head = f.read(20)
             if head[:4] != _MAGIC:
@@ -155,15 +140,14 @@ class PrimalityTable:
             size, want = f.seek(0, 2), 20
             if len(head) == want:
                 base, limit = struct.unpack_from("<QQ", head, 4)
+                _check_range(base, limit)
                 want += 8 * _n_words(base, limit)
             if size != want:
                 raise ValueError(f"table file {path} is {size} bytes, expected {want}")
-        return cls(base, limit, path=path)
+        return cls(base, limit, path)
 
     def _bytes(self, i0, i1):
         """Bytes i0..i1-1 of the packed words as uint8, valid until the next read."""
-        if self.words is not None:
-            return self.words.view(np.uint8)[i0:i1]
         if len(self._buf) < i1 - i0:
             self._buf = np.empty(i1 - i0, dtype=np.uint8)
         out = self._buf[: i1 - i0]
@@ -187,10 +171,6 @@ class PrimalityTable:
         bits = np.unpackbits(self._bytes(j0 >> 3, ((j1 - 1) >> 3) + 1), bitorder="little")
         return bits[j0 & 7 : (j0 & 7) + j1 - j0].view(np.bool_)
 
-    def is_prime(self, n):
-        self.require_cover(n, n)
-        return n == 2 if n % 2 == 0 else bool(self._odd_flags(n, n)[0])
-
     def count(self, lo=None, hi=None):
         """Number of primes in [lo, hi]: the odd flags counted a _CHUNK of n at a time, plus 2."""
         lo = self.base if lo is None else lo
@@ -201,59 +181,43 @@ class PrimalityTable:
         pieces = (self._odd_flags(a, min(a + _CHUNK - 1, hi)) for a in range(lo, hi + 1, _CHUNK))
         return int(lo <= 2 <= hi) + sum(int(np.count_nonzero(f)) for f in pieces)
 
-    def primes(self, lo=None, hi=None):
-        """All primes in [lo, hi] as an int64 array: 2, then the odd n's set bits."""
-        lo = self.base if lo is None else lo
-        hi = self.limit if hi is None else hi
-        if hi < lo:
-            return np.zeros(0, dtype=np.int64)
-        self.require_cover(lo, hi)
-        odd = np.flatnonzero(self._odd_flags(lo, hi)) * 2 + (lo | 1)
-        return np.concatenate(([2], odd)) if lo <= 2 <= hi else odd
 
+def save_sieve(base, limit, path):
+    """Sieve [base, limit] into the table file at path that PrimalityTable.load reads.
 
-def _pack(base, limit, write):
-    """Sieve [base, limit] into the table's words, handing each piece to write in order.
-
-    The pieces are each segment's flags packed into bytes, since a segment holds
-    whole bytes of flags, then the zero bytes that pad the last word. Returns the
-    number of primes in [base, limit], counted off the packed bytes, plus one for 2.
+    Each segment's flags are packed into bytes, since a segment holds whole bytes
+    of flags, and written as they are sieved, then the zero bytes that pad the last
+    word, so memory holds one segment whatever the limit. Returns the number of
+    primes in [base, limit], counted off the packed bytes, plus one for 2.
     """
+    _check_range(base, limit)
     found, size = int(base <= 2 <= limit), 0
-    for _, seg in _segments(base, limit):
-        packed = np.packbits(seg, bitorder="little")
-        found += int(np.bitwise_count(packed).sum())
-        size += len(packed)
-        write(packed)
-    write(np.zeros(8 * _n_words(base, limit) - size, dtype=np.uint8))
+    with open(path, "wb") as f:
+        f.write(_MAGIC + struct.pack("<QQ", base, limit))
+        for _, seg in _segments(base, limit):
+            packed = np.packbits(seg, bitorder="little")
+            found += int(np.bitwise_count(packed).sum())
+            size += len(packed)
+            f.write(packed)
+        f.write(bytes(8 * _n_words(base, limit) - size))
     return found
 
 
 def sieve_range(base, limit):
-    """Sieve [base, limit] into a packed PrimalityTable, by primes_upto's segmented pass."""
-    _check_range(base, limit)
-    words = np.empty(_n_words(base, limit), dtype="<u8")
-    out, end = words.view(np.uint8), 0
+    """Sieve [base, limit] into a table in a temporary file, removed when the table goes.
 
-    def fill(piece):
-        nonlocal end
-        out[end : end + len(piece)] = piece
-        end += len(piece)
-
-    _pack(base, limit, fill)
-    return PrimalityTable(base, limit, words)
-
-
-def save_sieve(base, limit, path):
-    """Sieve [base, limit] straight into the file sieve_range(base, limit).save(path) writes.
-
-    Each segment is written as it is sieved, so memory holds one segment
-    whatever the limit. Returns the number of primes in [base, limit].
+    For a table file to keep, use save_sieve (sieve-cache).
     """
-    _check_range(base, limit)
-    with open(path, "wb") as f:
-        _write_header(f, base, limit)
-        return _pack(base, limit, f.write)
+    fd, path = tempfile.mkstemp(suffix=".pkt")
+    os.close(fd)
+    try:
+        save_sieve(base, limit, path)
+        table = PrimalityTable.load(path)
+    except BaseException:  # a refused range or a failed sieve leaves no file
+        os.unlink(path)
+        raise
+    weakref.finalize(table, os.unlink, path)
+    return table
 
 
 @dataclass(frozen=True)

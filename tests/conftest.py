@@ -1,6 +1,8 @@
+import math
 import os
 
 import mpmath
+import numpy as np
 import pytest
 
 from primetail import primes, sieve_range
@@ -35,6 +37,21 @@ def table_1e6():
 @pytest.fixture(scope="session")
 def table_1e7():
     return sieve_range(0, 10 ** 7 + 64)
+
+
+@pytest.fixture(scope="session")
+def prime_flags():
+    """flags[n] is True exactly when n is prime, for n <= 10^7 + 64, the reach of table_1e7.
+
+    A plain Eratosthenes sieve over every n, sharing no code with the package's
+    segmented odd-only sieve, so tests check the package's tables against it.
+    """
+    flags = np.ones(10 ** 7 + 65, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(len(flags) - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
 
 
 @pytest.fixture(scope="session")

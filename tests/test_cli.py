@@ -1,6 +1,7 @@
 """CLI behaviour: formats, determinism, exit codes, cache workflow."""
 
 import ast
+import inspect
 import itertools
 import json
 import math
@@ -798,6 +799,19 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS)
+def test_stdout_same_across_openblas_threads(argv, tmp_path):
+    # the determinism matrix's last axis, in fresh interpreters since OpenBLAS reads it at
+    # load: hl's _log_integral is the package's one @ product; sieve-cache's file is compared too
+    runs = []
+    for threads in ("1", "2"):
+        r = subprocess.run([sys.executable, "-m", "primetail.cli", *argv], capture_output=True,
+                           env={**_child_env(), "OPENBLAS_NUM_THREADS": threads}, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        runs.append((r.stdout, (tmp_path / "unused.pkt").read_bytes() if argv[0] == "sieve-cache" else None))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS)
 def test_cli_never_imports_scipy(argv, tmp_path):
     # a fresh interpreter per subcommand, so no earlier import can hide one
     script = (
@@ -834,21 +848,29 @@ UNREAD_EXPORTS = {
 def test_every_export_has_a_reader():
     # a name read only by the export map is surface nothing uses: the code of every module
     # but __init__, and bench/traced.py, must name each export outside its own def or class,
-    # or hold it as a string for getattr, as cli.py does for the window reports
+    # or hold it as a string for getattr, as cli.py does for the window reports; and it must
+    # read each public method or property of an exported class as an attribute
     pkg = Path(primetail.__file__).parent
     files = [p for p in pkg.glob("*.py") if p.name != "__init__.py"]
-    read = set()
+    read, attrs = set(), set()
     for path in [*files, pkg.parents[1] / "bench" / "traced.py"]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
     assert sorted(set(primetail.__all__) - read) == sorted(UNREAD_EXPORTS)
+    kinds = (classmethod, staticmethod, property)
+    methods = [f"{name}.{attr}" for name in primetail.__all__ if inspect.isclass(cls := getattr(primetail, name))
+               for attr, v in vars(cls).items()
+               if not attr.startswith("_") and (inspect.isfunction(v) or isinstance(v, kinds))]
+    assert "PrimalityTable.load" in methods and "Tuple.parse" in methods  # the walk sees methods
+    assert [m for m in methods if m.split(".")[1] not in attrs] == []
 
 
 def test_sources_parse_as_python_3_10():

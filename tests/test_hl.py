@@ -162,7 +162,7 @@ def test_hl_error_is_sweep_of_one(table_1e6):
         assert hl_error(H, x, table_1e6) == hl_sweep(H, [x], table_1e6)[0]
 
 
-def test_hl_pass_across_blocks(table_1e7):
+def test_hl_pass_across_blocks(table_1e7, prime_flags):
     # a checkpoint past the first block, against oracles that share no code
     # with the pass: a dense AND of flag slices for the hits, and for the
     # Lambda sum one left-to-right cumsum over a dense Lambda array built
@@ -170,8 +170,7 @@ def test_hl_pass_across_blocks(table_1e7):
     H = Tuple.parse("0,2")
     x = _CHUNK + 12345
     rep = hl_error(H, x, table_1e7)
-    flags = np.zeros(x + 2, dtype=bool)  # flag i for n = i + 1
-    flags[table_1e7.primes(1, x + 2) - 1] = True
+    flags = prime_flags[1 : x + 3]  # flag i for n = i + 1
     assert rep.hits == int(np.count_nonzero(flags[:x] & flags[2:]))
     lam = np.zeros(x + 2)
     at = np.flatnonzero(flags)
@@ -187,11 +186,11 @@ def test_hl_pass_across_blocks(table_1e7):
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
-def test_tuple_pass_block_edges(chunk, monkeypatch):
+def test_tuple_pass_block_edges(chunk, monkeypatch, prime_flags):
     # checkpoints on both sides of every block edge, and where some n + h_i
     # is a prime power p^j with j >= 2, a survivor that is no hit
     monkeypatch.setattr(primes, "_CHUNK", chunk)
-    table, oracle = sieve_range(0, 300), sieve_range(0, 300)  # the oracle's reads are not counted
+    table = sieve_range(0, 300)
     walked, odd_flags = [], table._odd_flags
     monkeypatch.setattr(table, "_odd_flags", lambda lo, hi: walked.append(lo) or odd_flags(lo, hi))
     lam = _lambda_dict(300)
@@ -202,7 +201,7 @@ def test_tuple_pass_block_edges(chunk, monkeypatch):
         walked.clear()
         for x, (got_hits, got_sum) in zip(xs, tuple_counts(table, offs, xs), strict=True):
             ns = range(1, x + 1)
-            assert got_hits == sum(all(oracle.is_prime(n + t) for t in offs) for n in ns), (offs, x)
+            assert got_hits == sum(all(prime_flags[n + t] for t in offs) for n in ns), (offs, x)
             want = sum(math.prod(lam.get(n + t, 0.0) for t in offs) for n in ns)
             assert got_sum == pytest.approx(want, rel=1e-12), (offs, x)
         assert len(walked) == -(-xs[-1] // chunk)  # one unpack per block, in blocks of chunk

@@ -1,10 +1,13 @@
 """Sieve, window histogram, and tuple hit counting."""
 
+import gc
 import math
 import os
 import re
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +57,13 @@ def _miller_rabin(n):
     return True
 
 
+def _words(flags):
+    """Odd flags packed as a table file's words: little-endian bits, padded to whole 64-bit words."""
+    padded = np.zeros(64 * -(-len(flags) // 64), dtype=bool)
+    padded[: len(flags)] = flags
+    return np.packbits(padded, bitorder="little").tobytes()
+
+
 def _odd_wheel_sieve(limit):
     """Independent reference: sieve odd composites only, via bytearray."""
     flags = bytearray([0]) * (limit + 1)
@@ -70,11 +80,9 @@ def _odd_wheel_sieve(limit):
 
 def test_small_primes():
     t = sieve_range(0, 30)
-    assert t.primes().tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert t.primes().dtype == np.int64
-    assert not t.is_prime(0)
-    assert not t.is_prime(1)
-    assert t.is_prime(2)
+    assert (np.flatnonzero(t._odd_flags(0, 30)) * 2 + 1).tolist() == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert t.count() == 10
+    assert [t.count(n, n) for n in range(4)] == [0, 0, 1, 1]
 
 
 def test_pi_values(table_1e6):
@@ -86,10 +94,9 @@ def test_pi_values(table_1e6):
 
 def test_against_reference_sieve(table_1e6):
     limit = 10 ** 5
-    ref = _odd_wheel_sieve(limit)
-    got = np.zeros(limit + 1, dtype=bool)
-    got[table_1e6.primes(0, limit)] = True
-    assert np.array_equal(got, np.frombuffer(bytes(ref), dtype=np.uint8).astype(bool))
+    ref = np.frombuffer(bytes(_odd_wheel_sieve(limit)), dtype=np.uint8).astype(bool)
+    assert np.array_equal(table_1e6._odd_flags(0, limit), ref[1::2])
+    assert table_1e6.count(0, limit) == int(ref.sum())
 
 
 def test_random_windows_vs_trial_division(table_1e6):
@@ -97,14 +104,15 @@ def test_random_windows_vs_trial_division(table_1e6):
     for _ in range(20):
         lo = int(rng.integers(0, 10 ** 6 - 200))
         for n in range(lo, lo + 50):
-            assert table_1e6.is_prime(n) == _trial_is_prime(n)
+            assert table_1e6.count(n, n) == _trial_is_prime(n)
 
 
 def test_offset_base_table():
     t = sieve_range(10 ** 6, 10 ** 6 + 100)
-    assert t.primes().tolist() == [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
+    odd = np.flatnonzero(t._odd_flags(t.base, t.limit)) * 2 + (t.base | 1)
+    assert odd.tolist() == [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
     with pytest.raises(CoverageError):
-        t.is_prime(999999)
+        t.count(999999, 999999)
 
 
 def test_segment_size_invariance(monkeypatch):
@@ -112,7 +120,7 @@ def test_segment_size_invariance(monkeypatch):
     a = sieve_range(0, 10 ** 6 + 17)
     monkeypatch.setattr(primes, "_SEGMENT", 1 << 21)
     b = sieve_range(0, 10 ** 6 + 17)
-    assert np.array_equal(a.words, b.words)
+    assert Path(a.path).read_bytes() == Path(b.path).read_bytes()
 
 
 @pytest.mark.parametrize("base", [0, 1, 2, 3, 5, 63, 64, 65, 127, 129, 1000, 1001, 10 ** 6 + 3])
@@ -124,11 +132,9 @@ def test_sieve_range_odd_and_unaligned_bases(monkeypatch, base):
     limit = base + 700
     t = sieve_range(base, limit)
     flags = np.array([_trial_is_prime(n) for n in range(base | 1, limit + 1, 2)])
-    assert len(t.words) == -(-len(flags) // 64)
-    want = np.zeros(len(t.words) * 64, dtype=bool)
-    want[: len(flags)] = flags
-    assert np.array_equal(t.words, np.packbits(want, bitorder="little").view("<u8"))
-    assert t.primes().tolist() == [n for n in range(base, limit + 1) if _trial_is_prime(n)]
+    assert Path(t.path).read_bytes()[20:] == _words(flags)
+    assert np.array_equal(t._odd_flags(base, limit), flags)
+    assert t.count() == sum(_trial_is_prime(n) for n in range(base, limit + 1))
 
 
 @pytest.mark.parametrize("base", [10 ** 12, 10 ** 14 + 7, 2 ** 46 + 1])
@@ -136,7 +142,9 @@ def test_sieve_range_large_base_matches_miller_rabin(base):
     # a sieving prime's first flag in a segment scales seg_lo mod p, never seg_lo itself,
     # which times (p + 1) / 2 would pass 2^63 at these bases
     t = sieve_range(base, base + 5000)
-    assert t.primes().tolist() == [n for n in range(base, base + 5001) if _miller_rabin(n)]
+    want = [_miller_rabin(n) for n in range(base | 1, base + 5001, 2)]
+    assert t._odd_flags(base, base + 5000).tolist() == want
+    assert t.count() == sum(want)
     assert [n for n in range(2, 400) if _miller_rabin(n)] == [n for n in range(2, 400) if _trial_is_prime(n)]
 
 
@@ -145,29 +153,29 @@ def test_sieve_range_large_base_matches_miller_rabin(base):
 def test_table_words_hold_the_odd_n(base, limit):
     n_odd = sum(n % 2 for n in range(base, limit + 1))
     t = sieve_range(base, limit)
-    assert t.words.nbytes == 8 * math.ceil(n_odd / 64)
+    assert os.path.getsize(t.path) == 20 + 8 * math.ceil(n_odd / 64)
     assert t.count() == sum(_trial_is_prime(n) for n in range(base, limit + 1))
 
 
 def test_sieve_range_odd_base_matches_base_zero(monkeypatch):
     monkeypatch.setattr(primes, "_SEGMENT", 1 << 12)  # dozens of segments
     limit = 3 * 10 ** 5 + 17
-    ref = _odd_wheel_sieve(limit)
+    ref = np.frombuffer(bytes(_odd_wheel_sieve(limit)), dtype=np.uint8).astype(bool)
     for base in (1, 3, 77, 10 ** 5 + 1):
-        got = np.zeros(limit + 1 - base, dtype=bool)
-        got[sieve_range(base, limit).primes() - base] = True
-        assert np.array_equal(got, np.frombuffer(bytes(ref[base:]), dtype=np.uint8).astype(bool)), base
+        t = sieve_range(base, limit)
+        assert np.array_equal(t._odd_flags(base, limit), ref[base | 1 :: 2]), base
+        assert t.count() == int(ref[base:].sum()), base
 
 
 @pytest.mark.parametrize("base", [0, 1, 2, 7])
 def test_primes_every_parity_of_lo_and_hi(base):
     t = sieve_range(base, base + 90)
-    trial = [n for n in range(base, base + 91) if _trial_is_prime(n)]
+    trial = [_trial_is_prime(n) for n in range(base + 91)]
     for lo in range(base, base + 20):
         for hi in range(lo - 2, base + 91):  # hi < lo, both parities, lo <= 2 <= hi
-            got = t.primes(lo, hi)
-            assert got.dtype == np.int64
-            assert got.tolist() == [p for p in trial if lo <= p <= hi], (lo, hi)
+            assert t.count(lo, hi) == sum(trial[n] for n in range(lo, hi + 1)), (lo, hi)
+            if lo <= hi:
+                assert t._odd_flags(lo, hi).tolist() == trial[lo | 1 : hi + 1 : 2], (lo, hi)
 
 
 def test_primes_upto_bootstrap_and_segment_edges(monkeypatch):
@@ -214,12 +222,12 @@ def test_primes_upto_at_the_budget_edge(monkeypatch):
         primes.primes_upto(1001)
 
 
-def test_count_matches_enumeration(table_1e6):
+def test_count_matches_enumeration(table_1e6, prime_flags):
     rng = np.random.default_rng(5)
     for _ in range(50):
         lo = int(rng.integers(0, 10 ** 6))
         hi = int(rng.integers(lo, min(lo + 10 ** 4, 10 ** 6)))
-        assert table_1e6.count(lo, hi) == len(table_1e6.primes(lo, hi))
+        assert table_1e6.count(lo, hi) == int(prime_flags[lo : hi + 1].sum())
 
 
 _small = sieve_range(0, 3100)
@@ -240,16 +248,41 @@ def test_invalid_ranges():
         sieve_range(-1, 10)
 
 
+def test_sieve_range_file_lives_with_its_table(tmp_path, monkeypatch):
+    # the table's temporary file exists while the table does; a refused range or a
+    # failed sieve leaves none
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    t = sieve_range(0, 1000)
+    path = Path(t.path)
+    assert path.parent == tmp_path and path.exists()
+    assert t.count() == 168
+    del t
+    gc.collect()
+    assert not path.exists()
+    with pytest.raises(ValueError, match="invalid range"):
+        sieve_range(5, 3)
+    assert list(tmp_path.iterdir()) == []
+
+    def fail(*args):
+        raise RuntimeError("sieve failed")
+
+    monkeypatch.setattr(primes, "_segments", fail)
+    with pytest.raises(RuntimeError, match="sieve failed"):
+        sieve_range(0, 1000)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_load_roundtrip(tmp_path):
     t = sieve_range(10, 5000)
     path = tmp_path / "t.pkt"
     t.save(path)
     u = PrimalityTable.load(path)
     assert (u.base, u.limit) == (10, 5000)
-    assert u.words is None  # a loaded table reads its words from the file
-    assert np.array_equal(u.primes(), t.primes())
+    flags = [_trial_is_prime(n) for n in range(11, 5001, 2)]
+    assert u._odd_flags(10, 5000).tolist() == flags
     raw = path.read_bytes()
-    assert np.array_equal(np.frombuffer(raw[20:], dtype="<u8"), t.words)
+    assert raw == Path(t.path).read_bytes()
+    assert raw[20:] == _words(flags)
     assert raw[:4] == b"PKT2"
     assert struct.unpack("<QQ", raw[4:20]) == (10, 5000)
     assert len(raw) == 20 + 8 * math.ceil(2495 / 64)  # the 2495 odd n in [11, 4999]
@@ -257,10 +290,10 @@ def test_save_load_roundtrip(tmp_path):
     w, j = divmod((1009 - 11) // 2, 64)
     word = struct.unpack_from("<Q", raw, 20 + 8 * w)[0]
     assert (word >> j) & 1 == 1
-    assert u.is_prime(1009)
+    assert u.count(1009, 1009) == 1
 
 
-def test_load_memory_within_table_bytes(tmp_path, table_1e7):
+def test_load_memory_within_table_bytes(tmp_path, table_1e7, prime_flags):
     path = tmp_path / "t.pkt"
     table_1e7.save(path)
     tracemalloc.start()
@@ -271,13 +304,12 @@ def test_load_memory_within_table_bytes(tmp_path, table_1e7):
         tracemalloc.stop()
     # load checks the header and the size; the 625 kB of words stay on disk
     assert peak < 1 << 14, peak
-    assert np.array_equal(u.primes(), table_1e7.primes())
+    assert u.count() == int(prime_flags.sum())
 
 
 def test_loaded_table_saves_a_copy(tmp_path, monkeypatch, table_1e7):
-    # a loaded table writes the words it reads, a segment's bytes at a time: the copy is the
-    # file byte for byte, costs far less memory than its 625 kB of words, and saving onto its
-    # own file keeps it
+    # saving copies the table's file: the copy is the file byte for byte, costs far less
+    # memory than its 625 kB of words, and saving onto its own file keeps it
     p, q = tmp_path / "p.pkt", tmp_path / "q.pkt"
     table_1e7.save(p)
     u = PrimalityTable.load(p)
@@ -291,7 +323,7 @@ def test_loaded_table_saves_a_copy(tmp_path, monkeypatch, table_1e7):
     assert q.read_bytes() == p.read_bytes()
     u.save(p)
     assert p.read_bytes() == q.read_bytes()
-    # 4-byte pieces end inside words
+    # a file written in 4-byte pieces, which end inside words
     monkeypatch.setattr(primes, "_SEGMENT", 32)
     small = sieve_range(10, 5000)
     small.save(p)
@@ -315,31 +347,41 @@ def test_load_rejects_bad_magic(tmp_path):
         PrimalityTable.load(path)
 
 
+def test_load_rejects_header_range(tmp_path):
+    # the header is input from outside: a limit below base is refused, not read as an empty table
+    path = tmp_path / "bad.pkt"
+    path.write_bytes(b"PKT2" + struct.pack("<QQ", 10, 5))
+    with pytest.raises(ValueError, match="invalid range"):
+        PrimalityTable.load(path)
+
+
 @pytest.mark.parametrize("chunk", [100, 977])
 @pytest.mark.parametrize("base", [0, 10, 11, 1000003])
 def test_loaded_table_reads_as_sieved(tmp_path, monkeypatch, base, chunk):
     # blocks of 100 or 977 n, and count's pieces of as many n, end inside words and bytes;
     # the passes need a table from base <= 1, the tuple pass also one past base with
-    # offsets from base - 1 on
+    # offsets from base - 1 on. The file table reads as Miller-Rabin and as the passes
+    # streamed off the sieve
     monkeypatch.setattr(primes, "_CHUNK", chunk)
-    t = sieve_range(base, base + 5000)
-    t.save(tmp_path / "t.pkt")
+    primes.save_sieve(base, base + 5000, tmp_path / "t.pkt")
     u = PrimalityTable.load(tmp_path / "t.pkt")
+    mr = [_miller_rabin(n) for n in range(base, base + 5001)]  # mr[i] for n = base + i
     edges = [base, base + 1, base + 2, base + 63, base + 128, base + 2013, base + 4999, base + 5000]
     for lo in edges:
         for hi in edges:
-            assert u.count(lo, hi) == t.count(lo, hi) == len(t.primes(lo, hi)), (lo, hi)
-            assert np.array_equal(u.primes(lo, hi), t.primes(lo, hi)), (lo, hi)
-    assert u.count() == t.count()
+            assert u.count(lo, hi) == sum(mr[lo - base : hi - base + 1]), (lo, hi)
+            if lo <= hi:
+                assert u._odd_flags(lo, hi).tolist() == mr[(lo | 1) - base : hi - base + 1 : 2], (lo, hi)
+    assert u.count() == sum(mr)
     ns = [*range(base, base + 300), *edges]
-    assert [u.is_prime(n) for n in ns] == [t.is_prime(n) for n in ns] == [_miller_rabin(n) for n in ns]
+    assert [u.count(n, n) for n in ns] == [mr[n - base] for n in ns]
     xs = [1, chunk - 1, chunk, chunk + 1, 3 * chunk, 4000]
     for offs in ((0, 2), (0, 2, 6), (1, 2), (0, 150)):
         offs = [base - 1 + o for o in offs] if base else offs
-        assert list(tuple_counts(u, offs, xs)) == list(tuple_counts(t, offs, xs)), offs
+        assert list(tuple_counts(u, offs, xs)) == list(tuple_counts(None, offs, xs)), offs
     if base <= 1:
         for h in (1, 2.7, 63.9):
-            assert window_counts(u, 4000, h) == window_counts(t, 4000, h), h
+            assert window_counts(u, 4000, h) == window_counts(None, 4000, h), h
 
 
 def test_saved_table_memory_bounded_by_chunk(tmp_path):
@@ -388,10 +430,10 @@ def test_save_sieve_writes_the_saved_table(tmp_path, monkeypatch, base, limit):
     # segments of 32 odd flags pack into 4 bytes, half a word: the file is laid end to end
     # from segments that end inside words, then padded to whole words
     monkeypatch.setattr(primes, "_SEGMENT", 32)
-    t = sieve_range(base, limit)
-    t.save(tmp_path / "table.pkt")
-    assert primes.save_sieve(base, limit, tmp_path / "stream.pkt") == t.count()
-    assert (tmp_path / "stream.pkt").read_bytes() == (tmp_path / "table.pkt").read_bytes()
+    path = tmp_path / "table.pkt"
+    assert primes.save_sieve(base, limit, path) == sum(_trial_is_prime(n) for n in range(base, limit + 1))
+    flags = [_trial_is_prime(n) for n in range(base | 1, limit + 1, 2)]
+    assert path.read_bytes() == b"PKT2" + struct.pack("<QQ", base, limit) + _words(flags)
 
 
 def test_window_counts_example():
@@ -408,7 +450,7 @@ def test_window_counts_fractional_h():
     assert window_counts(t, 10, 2.7).counts == window_counts(t, 10, 2).counts
 
 
-def test_window_counts_brute_force(table_1e6):
+def test_window_counts_brute_force(table_1e6, prime_flags):
     rng = np.random.default_rng(11)
     for _ in range(6):
         x = int(rng.integers(50, 1500))
@@ -418,7 +460,7 @@ def test_window_counts_brute_force(table_1e6):
         m = int(h)
         brute = {}
         for n in range(1, x + 1):
-            c = sum(1 for t in range(n + 1, n + m + 1) if table_1e6.is_prime(t))
+            c = int(prime_flags[n + 1 : n + m + 1].sum())
             brute[c] = brute.get(c, 0) + 1
         assert hist.counts == brute
 
@@ -440,7 +482,7 @@ def test_window_counts_block_edges(monkeypatch, chunk):
     # h = 0.5 gives m = 0 and h = 200 gives m > chunk; x falls on both sides of
     # a block edge, on one, and between edges
     t = sieve_range(0, 5 * 64 + 201)
-    flags = [t.is_prime(n) for n in range(t.limit + 1)]
+    flags = [_trial_is_prime(n) for n in range(t.limit + 1)]
     monkeypatch.setattr(primes, "_CHUNK", chunk)
     for h in (0.5, 1, 2.7, 63.9, 200.0):
         m = int(h)
@@ -452,14 +494,14 @@ def test_window_counts_block_edges(monkeypatch, chunk):
             assert window_counts(t, x, h).counts == brute, (h, x)
 
 
-def test_window_counts_large_x_moments(table_1e7):
+def test_window_counts_large_x_moments(table_1e7, prime_flags):
     # sum_c c N_c counts each prime p once per n in [max(1, p - m), min(x, p - 1)];
     # sum_c c(c-1) N_c counts each pair p < q with q - p < m twice per n in
     # [max(1, q - m), min(x, p - 1)]
     x = 10 ** 7
     h = math.log(x)
     m = int(h)
-    ps = table_1e7.primes(2, x + m)
+    ps = np.flatnonzero(prime_flags[: x + m + 1])
     first = np.clip(np.minimum(x, ps - 1) - np.maximum(1, ps - m) + 1, 0, None).sum()
     second = 0
     for j in range(1, m):
@@ -615,10 +657,10 @@ def test_count_tuple_hits_monotone_in_x(table_1e6):
     assert a <= b
 
 
-def test_count_tuple_hits_brute_force(table_1e6, monkeypatch):
+def test_count_tuple_hits_brute_force(table_1e6, prime_flags, monkeypatch):
     offs = (0, 4, 6)
     x = 2000
-    brute = sum(1 for n in range(1, x + 1) if all(table_1e6.is_prime(n + t) for t in offs))
+    brute = sum(1 for n in range(1, x + 1) if all(prime_flags[n + t] for t in offs))
     assert count_tuple_hits(table_1e6, offs, x) == brute
     monkeypatch.setattr(primes, "_CHUNK", 313)
     assert count_tuple_hits(table_1e6, offs, x) == brute
