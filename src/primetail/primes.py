@@ -9,12 +9,12 @@ tuple pass (hits and Lambda sums) read the odd flags of one chunk of n at a
 time: unpacked from a table, or with no table sieved as the chunks advance,
 so the memory of each process is bounded by the chunk and segment sizes, not
 by x, and a table is only a saved sieve. Past the flags, a chunk of window
-counts costs one pass over its primes per tail level G_k = #{n : c(n) >= k}:
-on the gap between consecutive primes q_i <= n < q_{i+1}, c(n) >= k exactly
-when n >= q_{i+k} - floor(h). The window pass splits its chunks into one span
-per usable CPU, counts each span in its own forked process (_on_cpus, the
-package's one fork) and sums the integer counts; the tuple pass keeps one
-process, since its Lambda sums are floats added left to right.
+counts costs a few doubling adds, whose sliding sums of odd flags are its
+c(n), and one count of the sums >= k per level k, in buffers made per span.
+The window pass splits its chunks into one span per usable CPU, counts each
+span in its own forked process (_on_cpus, the package's one fork) and sums
+the integer counts; the tuple pass keeps one process, since its Lambda sums
+are floats added left to right.
 Every list of small primes in the package (sieving primes, factoring, local
 factors, sieve weights) comes from primes_upto, which sieves afresh on each
 call. One segmented Eratosthenes pass over odd n, _segments, makes those
@@ -40,7 +40,7 @@ from .errors import CoverageError, ResourceError
 
 _MAGIC = b"PKT2"
 _SEGMENT = 1 << 20  # odd-n flags per sieve segment; a multiple of 8, so each packs into whole bytes
-_CHUNK = 1 << 20  # n per block of the streaming passes; below 2^31 so block-local levels fit int32
+_CHUNK = 1 << 20  # n per block of the streaming passes; the window pass sizes its buffers by it
 _PRIME_BUDGET = 10 ** 8  # primes_upto refuses n above it
 _WHEEL = (3, 5, 7, 11, 13)  # presieved: each segment starts from a copy of their pattern
 _PERIOD = 15015  # odd flags per period of that pattern, 3 * 5 * 7 * 11 * 13
@@ -64,13 +64,16 @@ def check_prime_budget(n):
 
 
 def _segments(lo, hi):
-    """Yield (even seg_lo, flags), flag i for the odd n = seg_lo + 2i + 1 in [lo, hi]."""
+    """Yield (even seg_lo, flags), flag i for the odd n = seg_lo + 2i + 1 in [lo, hi]; each overwrites the last."""
     ps = primes_upto(math.isqrt(hi))[1 + len(_WHEEL) :]  # past 2 and the wheel
     half, square, plist = (ps + 1) >> 1, (ps * ps) >> 1, ps.tolist()
+    buf = np.empty(min(_SEGMENT, max(hi + 1 - (lo & ~1), 0) // 2), dtype=bool)
     for seg_lo in range(lo & ~1, hi + 1, 2 * _SEGMENT):
         n = (min(seg_lo + 2 * _SEGMENT - 1, hi) - seg_lo + 1) // 2
         j = (seg_lo >> 1) % _PERIOD
-        seg = np.resize(_PATTERN[j : j + _PERIOD], n)
+        seg, r = buf[:n], n % _PERIOD
+        seg[: n - r].reshape(-1, _PERIOD)[:] = _PATTERN[j : j + _PERIOD]
+        seg[n - r :] = _PATTERN[j : j + r]
         if seg_lo < _WHEEL[-1]:  # the pattern crossed out the wheel primes themselves
             seg[[(p - seg_lo) >> 1 for p in _WHEEL if seg_lo < p < seg_lo + 2 * n]] = True
         if seg_lo == 0:
@@ -233,34 +236,35 @@ def _odd_blocks(table, x, lo_off, hi_off, first=1):
     """Yield (a, b, flags) for each _CHUNK block [a, b] of n in [first, x].
 
     flags are the odd flags of [a + lo_off, b + hi_off], flag i for
-    ((a + lo_off) | 1) + 2i, read only. A table's are unpacked from its words;
-    with no table, _segments sieves them from first + lo_off as the blocks
-    advance. The segments a block reaches are kept until a later block starts
-    past them, and only a block that spans segments is copied, so memory holds
-    about a segment and a block whatever x is.
+    ((a + lo_off) | 1) + 2i, read only and valid until the next block. A
+    table's are unpacked from its words; with no table, _segments sieves them
+    from first + lo_off as the blocks advance. A block inside a segment is a
+    view of it; before the segment is refilled, the flags that blocks still
+    need are copied into one buffer, where a block that spans segments is
+    joined, so memory holds about a segment and a block whatever x is.
     """
     if table is None:
         segs = _segments(first + lo_off, x + hi_off)
-        parts, start = [np.zeros(0, dtype=bool)], (first + lo_off) | 1  # flags from start on, in order
+        seg, s0 = np.zeros(0, dtype=bool), (first + lo_off) // 2  # seg[i] flags the odd 2 (s0 + i) + 1
+        buf = np.empty((min(_CHUNK, x + 1 - first) + hi_off - lo_off + 1) // 2, dtype=bool)
+        kept = 0  # buf[:kept] flags the odd 2j + 1 for j in [s0 - kept, s0)
     for a in range(first, x + 1, _CHUNK):
         b = min(a + _CHUNK - 1, x)
         lo, hi = a + lo_off, b + hi_off
         if table is not None:
             yield a, b, table._odd_flags(lo, hi)
             continue
-        drop, start, size = ((lo | 1) - start) >> 1, lo | 1, (hi + 1) // 2 - lo // 2
-        while len(parts[0]) < drop:
-            drop -= len(parts.pop(0))
-        parts[0] = parts[0][drop:]
-        lens = [len(p) for p in parts]
-        while sum(lens) < size:
-            parts.append(next(segs)[1])
-            lens.append(len(parts[-1]))
-        if lens[0] >= size:
-            yield a, b, parts[0][:size]
-        else:  # the block spans segments: copy just its flags
-            offs = np.cumsum([0, *lens[:-1]])
-            yield a, b, np.concatenate([p[: max(size - o, 0)] for p, o in zip(parts, offs)])
+        j0, j1 = lo // 2, (hi + 1) // 2  # the block reads the odd 2j + 1 for j in [j0, j1)
+        keep = min(max(s0 - j0, 0), kept)  # the kept flags from j0 on
+        buf[:keep], kept = buf[kept - keep : kept], keep
+        while s0 + len(seg) < j1:
+            tail = seg[max(j0 - s0, 0) :]
+            buf[kept : kept + len(tail)] = tail
+            kept, s0 = kept + len(tail), s0 + len(seg)
+            seg = next(segs)[1]
+        if kept:  # the block starts in the kept flags: join the segment's on
+            buf[kept : j1 - j0] = seg[: max(j1 - s0, 0)]
+        yield a, b, buf[: j1 - j0] if kept else seg[j0 - s0 : j1 - s0]
 
 
 def _usable_cpus():
@@ -327,13 +331,13 @@ def window_counts(table, x, h):
 
     Windows are half-open at the left, so for integer n they hold the
     integers n+1 .. n+floor(h). A table must cover [1, x + ceil(h)]; with
-    None the pass streams off the sieve. With m = floor(h), each _CHUNK
-    block [a, b] of n is counted by its tail levels
-    G_k = #{n in [a, b] : c(n) >= k}: if q_1 < q_2 < ... are the primes in
-    (a, b + m], then on the gap [S_i, E_i) = [q_i, min(q_{i+1}, b + 1))
-    (with S_0 = a) c(n) >= k exactly when n >= q_{i+k} - m, so
-    G_k = sum_i max(0, min(E_i - S_i, E_i + m - q_{i+k})), and the levels
-    nest, so the first empty one ends the block. N_c = G_c - G_{c+1}.
+    None the pass streams off the sieve. With m = floor(h), the window of n
+    holds ceil(m/2) odd numbers from n + 1 on for an even n, floor(m/2) for an
+    odd n (and 2 for n = 1), so in each _CHUNK block c(n) is a sliding sum of
+    odd flags, built by doubling adds in the smallest unsigned dtype that holds
+    it. The block is counted by its levels G_k = #{n : c(n) >= k}, one
+    count_nonzero(sums >= k) each up to the largest; N_c = G_c - G_{c+1}. For
+    an even m both parities read the same sums: the range they share is counted once.
     The blocks are split into one span of whole blocks per usable CPU, each
     counted by its own process (_on_cpus); the counts are integers, so their
     sum is the one-process histogram.
@@ -355,43 +359,56 @@ def window_counts(table, x, h):
 
 
 def _span_counts(table, span, m):
-    """acc[c] = #{n in span : c(n) = c} for c <= m + 1, counted a block at a time."""
+    """acc[c] = #{n in span : c(n) = c} for c <= m + 1, a block at a time in buffers made once per span."""
     first, last = span
     acc = np.zeros(m + 2, dtype=np.int64)
+    short, long = m // 2, (m + 1) // 2  # odd numbers in the window of an odd n, of an even n
+    size = (min(_CHUNK, last + 1 - first) + m) // 2 + 1
+    bufs = [np.empty(size, dtype=np.min_scalar_type(long)) for _ in range(3)]
+    above = np.empty(size, dtype=bool)
     for a, b, flags in _odd_blocks(table, last, 1, m, first):
-        qs = np.flatnonzero(flags) * 2 + (((a + 1) | 1) - a)
-        if a + 1 <= 2 <= b + m:
-            qs = np.concatenate(([2 - a], qs))
-        levels = _tail_levels(qs, b + 1 - a, m)
-        acc[: len(levels) - 1] -= np.diff(levels)
+        f = flags.view(np.uint8)
+        odd, even = (b + 1) // 2 - a // 2, (b + 2) // 2 - (a + 1) // 2  # n in [a, b] of each parity
+        i = (a + 1) & 1  # odd n = (a | 1) + 2t reads the sum at i + t, even n the one at t
+        ws = _window_sums(f, short, bufs)
+        if long == short:  # both parities read ws: count the range they share once, twice over
+            j = min(i + odd, even)
+            _add_levels(acc, ws[i:j], 2, above)
+            np.add.at(acc, ws[[*range(i), *range(j, max(i + odd, even))]], 1)  # the <= 2 sums one parity reads
+        else:
+            wl = np.add(ws[:-1], f[short:], out=bufs[0][: len(ws) - 1])
+            _add_levels(acc, ws[i : i + odd], 1, above)
+            _add_levels(acc, wl[:even], 1, above)
+        if a == 1 and m:  # the window of 1 also holds 2
+            acc[int(ws[0]) : int(ws[0]) + 2] += (-1, 1)
     return acc
 
 
-def _tail_levels(qs, size, m):
-    """[G_0, G_1, ..., 0] for the windows at n = 0..size-1 given the primes qs in [1, size - 1 + m].
+def _window_sums(f, width, bufs):
+    """s[i] = f[i] + ... + f[i + width - 1] for i <= len(f) - width, a view of f or of bufs[2].
 
-    Every array is block-local and clipped into [0, size], so int32 is exact;
-    a q_{i+k} - m clipped to 0 leaves min(E_i - S_i, .) as it was, and one
-    clipped to size leaves the term <= 0. The arrays die on return, before
-    the next block's primes are built.
+    Doubling adds make the sums of widths 1, 2, 4, ... in bufs[0] and bufs[1] by turns,
+    but that of width's lowest bit in bufs[2], where s adds those of its other bits.
     """
-    s = int(np.searchsorted(qs, size))  # the gaps [q_1, ..), .., [q_s, ..) start in the block
-    ends = np.empty(s + 1, dtype=np.int32)
-    ends[:s], ends[s] = qs[:s], size
-    lens = ends.copy()
-    lens[1:] -= ends[:-1]
-    rises = np.clip(qs - m, 0, size).astype(np.int32)
-    term = np.empty_like(ends)
-    levels = [size]
-    for k in range(1, len(qs) + 1):
-        t = term[: min(s + 1, len(qs) - k + 1)]
-        np.subtract(ends[: len(t)], rises[k - 1 : k - 1 + len(t)], out=t)
-        np.minimum(t, lens[: len(t)], out=t)
-        np.maximum(t, 0, out=t)
-        levels.append(int(t.sum()))
-        if not levels[-1]:
-            return levels
-    return levels + [0]
+    low, s, p, w = width & -width, bufs[2][: len(f) + 1], f, 1
+    if not width:
+        s.fill(0)
+    while w <= width:
+        if width & w:
+            below = width & (w - 1)  # the width s sums so far
+            s = p if w == low else np.add(s[: len(p) - below], p[below:], out=bufs[2][: len(p) - below])
+        if 2 * w <= width:
+            out = bufs[2] if 2 * w == low else bufs[w.bit_length() & 1]
+            p = np.add(p[:-w], p[w:], out=out[: len(p) - w])
+        w *= 2
+    return s
+
+
+def _add_levels(acc, w, weight, above):
+    """acc[c] += weight * #{i : w[i] = c}, by the levels G_k = #{i : w[i] >= k} counted into above."""
+    ks = range(1, int(w.max(initial=0)) + 1)
+    levels = [np.count_nonzero(np.greater_equal(w, k, out=above[: len(w)])) for k in ks]
+    acc[: len(ks) + 1] -= weight * np.diff([len(w), *levels, 0])
 
 
 def _prime_powers(hi):

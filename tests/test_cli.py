@@ -910,6 +910,7 @@ def test_jobs_load_only_what_they_run(tmp_path):
         assert code == 0 and probe_saw, argv
         assert "numpy" not in cold, argv
         assert "mpmath" not in ran and "numpy.ma" not in ran, argv
+        assert "numpy.polynomial" not in ran, argv
         if argv[0] == "--help":
             assert "numpy" not in ran
         if argv[0] == "tkh":

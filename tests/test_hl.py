@@ -85,6 +85,14 @@ def test_li_k_vs_mpmath_oracle(li_oracle):
     assert not bad
 
 
+def test_gauss_legendre_literals_are_leggauss_16():
+    from primetail import hl
+
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert hl._GL_NODES.tobytes() == nodes.tobytes()
+    assert hl._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_li_k_edges():
     assert li_k(1.5, 3) == 0.0
     assert li_k(2, 1) == 0.0

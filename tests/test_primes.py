@@ -1,10 +1,13 @@
 """Sieve, window histogram, and tuple hit counting."""
 
+import functools
 import gc
 import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primetail
 from primetail import (
     PrimalityTable,
     Tuple,
@@ -546,6 +550,7 @@ def test_stream_matches_table(monkeypatch, segment, chunk):
         assert list(tuple_counts(None, offs, xs)) == list(tuple_counts(t, offs, xs)), offs
 
 
+@functools.cache
 def _trial_window_counts(x, h):
     """The window histogram from prefix sums of trial-division primality: c(n) = pi(n + m) - pi(n)."""
     m = int(h)
@@ -563,20 +568,23 @@ def cpus(monkeypatch):
 @pytest.mark.parametrize("source", ["stream", "sieved", "loaded0", "loaded1"])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_window_counts_spans_match_trial_division(tmp_path, monkeypatch, cpus, k, source):
-    # 64-n blocks over 32-flag segments; x = 321 makes six blocks, so five CPUs get five
-    # spans, and x falls on both sides of the edges at 64 and 192
+    # blocks of 64 n, or of 5 n so that every other block starts at an even n, over 32-flag
+    # segments; x = 321 makes six or 65 blocks, so five CPUs get five spans, and x falls on
+    # both sides of the first and third block edges. h < 1 gives m = 0; 17.3 and 63.9 give
+    # odd m, whose even n see one odd flag more than their odd n; 600 sums 300 flags, past uint8
     monkeypatch.setattr(primes, "_SEGMENT", 32)
-    monkeypatch.setattr(primes, "_CHUNK", 64)
     cpus(k)
     table = None
     if source != "stream":
-        table = sieve_range(int(source == "loaded1"), 321 + 200)
+        table = sieve_range(int(source == "loaded1"), 321 + 600)
     if source.startswith("loaded"):
         table.save(tmp_path / "t.pkt")
         table = PrimalityTable.load(tmp_path / "t.pkt")
-    for h in (0.5, 1.9, 18.4, 200.0):
-        for x in (1, 63, 64, 65, 191, 192, 193, 321):
-            assert window_counts(table, x, h).counts == _trial_window_counts(x, h), (h, x)
+    for chunk in (64, 5):
+        monkeypatch.setattr(primes, "_CHUNK", chunk)
+        for h in (0.5, 0.9, 1.9, 17.3, 18.4, 63.9, 200.0, 600.0):
+            for x in (1, chunk - 1, chunk, chunk + 1, 3 * chunk - 1, 3 * chunk, 3 * chunk + 1, 321):
+                assert window_counts(table, x, h).counts == _trial_window_counts(x, h), (chunk, h, x)
 
 
 def test_window_counts_forks_only_past_one_block_and_one_cpu(monkeypatch, cpus):
@@ -606,6 +614,31 @@ def test_window_stream_memory_bounded_by_chunk():
         finally:
             tracemalloc.stop()
     assert max(peaks) - min(peaks) < 1 << 20, peaks
+
+
+def test_window_stream_page_faults_bounded_by_chunk():
+    # the pass makes its arrays once per span and sieves every segment into one buffer, so
+    # eight times the blocks fault in no more pages than the first pass did; arrays made
+    # afresh per segment and block faulted about 1200 pages more, at a rate set by glibc's
+    # mmap and trim thresholds. In a fresh process, on one CPU so every block runs here,
+    # after one warm-up pass
+    src = str(Path(primetail.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import resource\n"
+        "from primetail import primes\n"
+        "primes._usable_cpus = lambda: 1\n"
+        "primes.window_counts(None, 1000, 18.4)\n"
+        "faults = []\n"
+        "for x in (4 * 10 ** 6, 32 * 10 ** 6):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    primes.window_counts(None, x, 18.4)\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(faults[1] - faults[0])\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 256
 
 
 @pytest.mark.parametrize("chunk", [977, primes._CHUNK])
